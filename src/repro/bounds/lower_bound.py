@@ -41,7 +41,7 @@ from repro.graph.core import Graph, Node, edge_key
 from repro.graph.generators import cage, high_girth_greedy
 from repro.graph.girth import girth
 from repro.spanners.blocking import BlockingSet
-from repro.spanners.fault_check import BranchAndBoundOracle, FaultCheckOracle
+from repro.spanners.fault_check import FaultCheckOracle, get_oracle
 from repro.utils.rng import ensure_rng
 
 
@@ -170,7 +170,7 @@ def forced_edge_fraction(instance: LowerBoundInstance, *,
     ``sample_edges`` limits the check to a random sample (the instances grow
     quadratically with ``f``); the default checks every edge.
     """
-    checker = oracle if oracle is not None else BranchAndBoundOracle()
+    checker = get_oracle(oracle)
     graph = instance.graph
     edges = list(graph.edges())
     if sample_edges is not None and sample_edges < len(edges):

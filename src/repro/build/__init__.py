@@ -7,7 +7,7 @@ The one declarative surface every consumer constructs spanners through:
 >>> graph = generators.gnm(40, 160, rng=0, connected=True)
 >>> result = build(graph, BuildSpec("ft-greedy", stretch=3, max_faults=1))
 >>> result.algorithm
-'ft-greedy[branch-and-bound]'
+'ft-greedy[tiered]'
 
 * :class:`BuildSpec` — a frozen, JSON round-trippable description of one
   construction (algorithm, stretch, fault budget/model, oracle, seed,

@@ -56,7 +56,7 @@ class BuildSpec:
         ``"vertex"`` or ``"edge"``; ignored by non-fault-tolerant algorithms.
     oracle:
         Fault-check oracle *name* for algorithms that accept one
-        (``"branch-and-bound"``, ``"tiered"``, ``"exhaustive"``,
+        (``"tiered"``, ``"branch-and-bound"``, ``"exhaustive"``,
         ``"greedy-path-packing"``); ``None`` keeps the algorithm default.
     seed:
         Integer seed for randomized algorithms; ignored by deterministic

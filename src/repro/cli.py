@@ -792,7 +792,8 @@ def build_parser() -> argparse.ArgumentParser:
                              help="default: the algorithm's native model")
         command.add_argument("--oracle", default=None,
                              choices=["branch-and-bound", "tiered",
-                                      "exhaustive", "greedy-path-packing"])
+                                      "exhaustive", "greedy-path-packing"],
+                             help="fault-check oracle (default: tiered)")
         command.add_argument("--param", "-P", action="append", default=[],
                              metavar="KEY=VALUE",
                              help="algorithm-specific parameter (repeatable; "

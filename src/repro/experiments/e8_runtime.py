@@ -5,8 +5,9 @@ leaves a faster algorithm as an open question.  This experiment measures, on a
 fixed instance and growing ``f``:
 
 * the exhaustive oracle (only for the smallest ``f`` — its cost explodes),
-* the exact branch-and-bound oracle (default — still exponential in ``f`` but
-  with the short-path branching factor),
+* the exact branch-and-bound oracle (the search the default ``tiered``
+  oracle falls through to — still exponential in ``f`` but with the
+  short-path branching factor),
 * the polynomial greedy path-packing heuristic,
 
 reporting wall-clock construction time, the number of bounded-distance

@@ -7,9 +7,11 @@ large ones) the fault set maximising the worst pairwise stretch of
 FT-greedy output really keeps its stretch under the worst faults while
 non-fault-tolerant baselines do not.
 
-The search is embarrassingly parallel over candidate fault sets, so
-:func:`worst_case_fault_set` and :func:`random_fault_trial` accept
-``workers`` / ``backend`` and shard their candidate list through
+Every entry point takes plain :class:`~repro.graph.core.Graph` inputs and
+evaluates each fault set as kernel masks over their CSR snapshots; views
+raise ``TypeError``.  The search is embarrassingly parallel over candidate
+fault sets, so :func:`worst_case_fault_set` and :func:`random_fault_trial`
+accept ``workers`` / ``backend`` and shard their candidate list through
 :mod:`repro.runtime`.  Results are bit-identical to the serial scan: chunks
 are contiguous slices of the candidate order, merged with the serial
 strict-``>`` update rule, and a chunk that hits the stop condition (infinite
@@ -21,13 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.faults.enumeration import enumerate_fault_sets, sample_fault_sets
 from repro.faults.models import FaultModel, FaultSet, get_fault_model
 from repro.graph.core import Graph, Node
 from repro.graph.csr import CSRGraph, csr_snapshot
-from repro.paths.dijkstra import dijkstra_distances
 from repro.paths.registry import KernelLike, get_kernels
 from repro.runtime.backend import BackendLike, get_backend
 from repro.runtime.merge import ChunkArgmax, merge_argmax
@@ -52,41 +53,9 @@ def stretch_under_faults(original: Graph, spanner: Graph,
     pairs:
         Restrict attention to these pairs; default is all pairs.
     """
-    model = get_fault_model(fault_model)
-    fault_list = list(faults)
-    if isinstance(original, Graph) and isinstance(spanner, Graph):
-        return stretch_between_csr(csr_snapshot(original), csr_snapshot(spanner),
-                                   model, fault_list, pairs, kernel=kernel)
-    faulted_original = model.apply(original, fault_list)
-    faulted_spanner = model.apply(spanner, fault_list)
-
-    worst = 1.0
-    sources = (
-        sorted({pair[0] for pair in pairs}, key=repr) if pairs is not None
-        else list(faulted_original.nodes())
-    )
-    restrict: Optional[Dict[Node, set]] = None
-    if pairs is not None:
-        restrict = {}
-        for u, v in pairs:
-            restrict.setdefault(u, set()).add(v)
-
-    for source in sources:
-        if not faulted_original.has_node(source):
-            continue
-        base = dijkstra_distances(faulted_original, source)
-        in_spanner = dijkstra_distances(faulted_spanner, source) \
-            if faulted_spanner.has_node(source) else {}
-        for target, base_distance in base.items():
-            if target == source or base_distance == 0:
-                continue
-            if restrict is not None and target not in restrict.get(source, ()):
-                continue
-            spanner_distance = in_spanner.get(target, math.inf)
-            ratio = spanner_distance / base_distance
-            if ratio > worst:
-                worst = ratio
-    return worst
+    return stretch_between_csr(csr_snapshot(original), csr_snapshot(spanner),
+                               get_fault_model(fault_model), list(faults),
+                               pairs, kernel=kernel)
 
 
 def _h_index_map(csr_g: CSRGraph, csr_h: CSRGraph):
@@ -125,14 +94,13 @@ def stretch_between_csr(csr_g: CSRGraph, csr_h: CSRGraph, model: FaultModel,
                         kernel: KernelLike = None) -> float:
     """Mask-based stretch of ``csr_h \\ F`` w.r.t. ``csr_g \\ F``.
 
-    Pure-CSR twin of :func:`stretch_under_faults`: applies the fault set as
-    kernel masks over the two snapshots instead of building two
-    :class:`ExclusionView` wrappers, and compares distance arrays directly —
-    no per-source dict materialisation.  Operating on snapshots alone is what
-    lets worker processes evaluate fault sets against a context shipped once
-    (:mod:`repro.runtime.backend`) and still produce the exact serial floats:
-    ``csr_g.node_of`` preserves the graph's node insertion order, so the
-    source sweep is identical.
+    The implementation behind :func:`stretch_under_faults`: applies the
+    fault set as kernel masks over the two snapshots and compares distance
+    arrays directly — no per-source dict materialisation.  Operating on
+    snapshots alone is what lets worker processes evaluate fault sets
+    against a context shipped once (:mod:`repro.runtime.backend`) and still
+    produce the exact serial floats: ``csr_g.node_of`` preserves the graph's
+    node insertion order, so the source sweep is identical.
 
     ``sources`` / ``restrict`` override the default all-pairs sweep without
     going through ``pairs`` — this is how sharded source sweeps hand one
@@ -297,6 +265,7 @@ def worst_case_fault_set(original: Graph, spanner: Graph,
     (fault_set, stretch):
         The worst fault set found and the stretch it induces.
     """
+    csr_g, csr_h = csr_snapshot(original), csr_snapshot(spanner)
     model = get_fault_model(fault_model)
     elements = model.all_elements(original)
     num_sets = sum(math.comb(len(elements), size)
@@ -314,14 +283,8 @@ def worst_case_fault_set(original: Graph, spanner: Graph,
         candidates = sample_fault_sets(original, model, max_faults, samples, rng=rng)
         total = len(candidates)
 
-    if not (isinstance(original, Graph) and isinstance(spanner, Graph)):
-        # View inputs have no CSR snapshot; keep the plain serial scan.
-        return _worst_case_serial(original, spanner, model, candidates,
-                                  stop_stretch)
-
     resolved = get_backend(backend, workers)
-    context = _SearchContext(csr_g=csr_snapshot(original),
-                             csr_h=csr_snapshot(spanner),
+    context = _SearchContext(csr_g=csr_g, csr_h=csr_h,
                              fault_model=model.name,
                              stop_stretch=stop_stretch,
                              kernel=get_kernels(kernel).name)
@@ -330,22 +293,6 @@ def worst_case_fault_set(original: Graph, spanner: Graph,
     if outcome.best is None:
         return model.canonical(()), 0.0
     return outcome.best, outcome.best_value
-
-
-def _worst_case_serial(original, spanner, model: FaultModel, candidates: Iterable,
-                       stop_stretch: Optional[float]) -> Tuple[FaultSet, float]:
-    """Reference scan for graph views that cannot be snapshotted/shipped."""
-    worst_set: FaultSet = model.canonical(())
-    worst_stretch = 0.0
-    for faults in candidates:
-        stretch = stretch_under_faults(original, spanner, model, faults)
-        if stretch > worst_stretch:
-            worst_stretch = stretch
-            worst_set = model.canonical(faults)
-        if worst_stretch == math.inf or (stop_stretch is not None
-                                         and stretch > stop_stretch):
-            break
-    return worst_set, worst_stretch
 
 
 @dataclass(frozen=True)
@@ -376,15 +323,12 @@ def random_fault_trial(original: Graph, spanner: Graph,
     stream is untouched by parallelism); the stretch evaluations shard
     across the backend and concatenate back in trial order.
     """
+    csr_g, csr_h = csr_snapshot(original), csr_snapshot(spanner)
     rng = ensure_rng(rng)
     model = get_fault_model(fault_model)
     fault_sets = sample_fault_sets(original, model, max_faults, trials, rng=rng)
-    if not (isinstance(original, Graph) and isinstance(spanner, Graph)):
-        return [stretch_under_faults(original, spanner, model, faults)
-                for faults in fault_sets]
     resolved = get_backend(backend, workers)
-    context = _TrialContext(csr_g=csr_snapshot(original),
-                            csr_h=csr_snapshot(spanner),
+    context = _TrialContext(csr_g=csr_g, csr_h=csr_h,
                             fault_model=model.name,
                             kernel=get_kernels(kernel).name)
     chunks = iter_chunks(fault_sets, chunk_size_for(len(fault_sets),

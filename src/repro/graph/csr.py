@@ -442,7 +442,13 @@ def csr_snapshot(graph: Graph) -> CSRGraph:
     Compiling is O(n + m); a cache hit is two attribute reads.  The snapshot
     stays valid across ``add_node``/``add_edge`` (the graph appends into it
     incrementally) and is recompiled after removals or weight overwrites.
+    Anything but a :class:`Graph` raises ``TypeError``: a view has no
+    snapshot, and fault sets apply as kernel masks over the graph's one.
     """
+    if not isinstance(graph, Graph):
+        raise TypeError(
+            f"expected a Graph, got {type(graph).__name__}: fault sets "
+            f"apply as masks on the graph's CSR snapshot, not as views")
     cache = graph._csr_cache
     if cache is not None and cache.graph_version == graph.version:
         return cache

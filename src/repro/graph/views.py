@@ -1,10 +1,12 @@
 """Read-only graph views, most importantly "graph minus a fault set".
 
-The FT greedy algorithm repeatedly asks for distances in ``H \\ F`` for many
-candidate fault sets ``F``.  Copying ``H`` for every candidate would dominate
-the runtime, so :class:`ExclusionView` exposes the same adjacency interface as
+:class:`ExclusionView` exposes the same adjacency interface as
 :class:`repro.graph.Graph` while filtering out excluded vertices and edges on
-the fly.  The shortest-path routines in :mod:`repro.paths` accept either type.
+the fly, so ``H \\ F`` costs no copy.  The dict-based shortest-path routines
+in :mod:`repro.paths` accept either type; they are the reference the CSR
+kernels are tested against.  The product paths (fault-check oracles,
+verification, adversarial search) apply fault sets as kernel masks over a
+CSR snapshot instead and accept no views.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ class ExclusionView:
 
     The view never copies adjacency data; it holds the excluded vertex set and
     the excluded (canonicalised) edge set and filters during iteration.  It is
-    therefore O(1) to construct, which matters inside branch-and-bound fault
-    search where thousands of views are created per spanner edge.
+    therefore O(1) to construct.
 
     Parameters
     ----------

@@ -3,8 +3,9 @@
 The FT greedy algorithm asks one question over and over: *is the distance from
 ``u`` to ``v`` in ``H \\ F`` larger than ``k · w(u, v)``?*  Answering it does
 not require the full shortest-path tree — :func:`bounded_distance` stops as
-soon as the target is settled or the budget is exceeded, and is the routine
-every oracle in :mod:`repro.spanners.fault_check` calls.
+soon as the target is settled or the budget is exceeded.  The oracles in
+:mod:`repro.spanners.fault_check` ask it through the CSR kernels directly;
+the routines here are the dict reference those kernels mirror.
 
 All functions take a graph-like object exposing ``nodes()``, ``neighbors()``,
 ``adjacency()`` and ``has_node()`` — i.e. either :class:`repro.graph.Graph`

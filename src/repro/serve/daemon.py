@@ -194,10 +194,16 @@ class ServingDaemon:
         return self.host, self.port
 
     def request_drain(self) -> None:
-        """Trigger :meth:`drain` from any thread."""
-        if self._loop is not None:
+        """Trigger :meth:`drain` from any thread; a no-op once stopped."""
+        if self._loop is None:
+            return
+        try:
             self._loop.call_soon_threadsafe(
                 lambda: asyncio.ensure_future(self.drain()))
+        except RuntimeError:
+            # The loop has closed: an earlier drain already stopped the
+            # daemon, so there is nothing left to drain.
+            pass
 
     # ------------------------------------------------------------ connections
     async def _on_connection(self, reader: asyncio.StreamReader,

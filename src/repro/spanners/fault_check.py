@@ -11,7 +11,7 @@ an open problem.  This module provides four oracles behind one interface:
 * :class:`ExhaustiveOracle` — literally tries every fault set of size ≤ f.
   Exponential in ``f`` with a huge base (``n choose f``); only sensible for
   tiny instances, kept as the ground-truth oracle for tests.
-* :class:`BranchAndBoundOracle` — exact, and the default.  It branches only on
+* :class:`BranchAndBoundOracle` — exact.  It branches only on
   the elements of some *short witness path*: if ``dist_{H\\F}(u, v) ≤ k·w``
   then every fault set that works must hit every ``u``–``v`` path of length
   ``≤ k·w``, in particular the shortest one, so it suffices to try faulting
@@ -25,7 +25,8 @@ an open problem.  This module provides four oracles behind one interface:
   sparser than required and is *not guaranteed* to be ``f``-fault tolerant.
   It exists for the runtime experiment (E8) and as the "better and simpler"
   style baseline.
-* :class:`TieredOracle` — exact, and the construction-scale fast path: cheap
+* :class:`TieredOracle` — exact, and the default (:data:`DEFAULT_ORACLE`):
+  cheap
   *sound* screens (warm-started distance vectors shared across consecutive
   candidates with the same source, disjoint short-path packing, replay of
   the previous witness fault set — the Lemma 3 blocking-set material of
@@ -40,28 +41,26 @@ All oracles return either a canonical fault set ``F`` witnessing the distance
 blow-up, or ``None`` when no such set exists (or was found, for the
 heuristic).
 
-When the queried graph is a plain :class:`~repro.graph.core.Graph` (always
-the case inside the greedy driver, where it is the growing spanner ``H``),
-every oracle runs on the compiled CSR snapshot with *fault masks*: trying a
-candidate fault set is a few byte writes on a mask instead of building an
-:class:`ExclusionView`, and the distance query itself runs the array-native
-kernels.  Duck-typed graphs (views, test doubles) fall back to the original
-view-based implementations, which the mask path mirrors decision-for-decision.
+Every oracle runs on the compiled CSR snapshot of the queried
+:class:`~repro.graph.core.Graph` (inside the greedy driver, the growing
+spanner ``H``) with *fault masks*: trying a candidate fault set is a few byte
+writes on a mask, and the distance query itself runs the array-native
+kernels.  The ``Graph`` entry point :meth:`FaultCheckOracle.find_breaking_fault_set`
+only resolves that snapshot; anything that is not a ``Graph`` (an
+:class:`~repro.graph.views.ExclusionView`, a duck-typed double) has no
+snapshot and raises ``TypeError``.
 """
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.faults.enumeration import enumerate_fault_sets
 from repro.faults.models import FaultModel, FaultSet, get_fault_model
 from repro.graph.core import Graph, Node, edge_key
 from repro.graph.csr import CSRGraph, csr_snapshot
-from repro.graph.views import ExclusionView
 from repro.obs.metrics import MetricsRegistry, component_registry, get_registry
-from repro.paths.dijkstra import bounded_distance, bounded_path
 from repro.paths.registry import KernelLike, get_kernels
 
 #: Screen outcomes that resolved the query without the exact search.
@@ -233,7 +232,11 @@ def candidate_elements_csr(model: FaultModel, csr: CSRGraph, source: Node,
 
 
 class FaultCheckOracle(ABC):
-    """Interface for the "find a breaking fault set" decision/search problem."""
+    """Interface for the "find a breaking fault set" decision/search problem.
+
+    Subclasses implement :meth:`find_breaking_fault_set_csr`; the ``Graph``
+    entry point resolves the cached snapshot and delegates to it.
+    """
 
     #: Short name used in experiment tables.
     name: str = "abstract"
@@ -246,41 +249,34 @@ class FaultCheckOracle(ABC):
         #: Kernel backend answering the CSR distance queries (auto if None).
         self.kernels = get_kernels(kernel)
 
-    @abstractmethod
-    def find_breaking_fault_set(self, graph, source: Node, target: Node,
+    def find_breaking_fault_set(self, graph: Graph, source: Node, target: Node,
                                 budget: float, max_faults: int,
                                 fault_model: "str | FaultModel") -> Optional[FaultSet]:
         """Return ``F`` with ``|F| ≤ max_faults`` and ``dist_{graph\\F}(source, target) > budget``.
 
         Returns ``None`` if no such set exists (exact oracles) or none was
         found (heuristic oracles).  The distance comparison treats
-        unreachability as ``inf > budget``.
+        unreachability as ``inf > budget``.  ``graph`` must be a
+        :class:`Graph`; anything else raises ``TypeError``.
         """
+        return self.find_breaking_fault_set_csr(
+            csr_snapshot(graph), source, target, budget, max_faults,
+            fault_model)
 
+    @abstractmethod
     def find_breaking_fault_set_csr(self, csr: CSRGraph, source: Node,
                                     target: Node, budget: float,
                                     max_faults: int,
                                     fault_model: "str | FaultModel",
                                     candidates: Optional[List] = None) -> Optional[FaultSet]:
-        """CSR-native twin of :meth:`find_breaking_fault_set`.
+        """:meth:`find_breaking_fault_set` on a compiled snapshot.
 
-        Operates directly on a compiled snapshot, so the check can run in a
-        worker process that only received the (picklable) CSR — this is what
-        the parallel FT-greedy build ships through :mod:`repro.runtime`.
-        ``candidates`` optionally pins the enumeration order of the faultable
-        elements (only the exhaustive oracle consults it); oracles without a
-        CSR implementation raise ``NotImplementedError`` so the parallel
-        driver can refuse them up front.
+        Operates directly on the snapshot, so the check can run in a worker
+        process that only received the (picklable) CSR — this is what the
+        parallel FT-greedy build ships through :mod:`repro.runtime`.
+        ``candidates`` optionally pins the enumeration order of the
+        faultable elements (only the exhaustive oracle consults it).
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} has no CSR fault-check implementation")
-
-    # ------------------------------------------------------------------ utils
-    def _distance_exceeds(self, graph, source: Node, target: Node,
-                          budget: float) -> bool:
-        """Whether the (possibly faulted view) distance already exceeds the budget."""
-        self.stats.count_distance_query()
-        return bounded_distance(graph, source, target, budget) > budget
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__}>"
@@ -296,24 +292,16 @@ class ExhaustiveOracle(FaultCheckOracle):
     name = "exhaustive"
     exact = True
 
-    def find_breaking_fault_set(self, graph, source: Node, target: Node,
+    def find_breaking_fault_set(self, graph: Graph, source: Node, target: Node,
                                 budget: float, max_faults: int,
                                 fault_model: "str | FaultModel") -> Optional[FaultSet]:
+        # Candidates come from the *graph* so the enumeration order (and
+        # hence which witness a tie returns) follows ``Graph.edges()``.
+        csr = csr_snapshot(graph)
         model = get_fault_model(fault_model)
-        elements = model.candidate_elements(graph, source, target)
-        if isinstance(graph, Graph):
-            # Candidates come from the *graph* so the enumeration order (and
-            # hence which witness a tie returns) is identical to the
-            # pre-kernel implementation.
-            return self.find_breaking_fault_set_csr(
-                csr_snapshot(graph), source, target, budget, max_faults,
-                model, candidates=elements)
-        self.stats.count_query()
-        for faults in enumerate_fault_sets(elements, max_faults):
-            view = model.apply(graph, faults)
-            if self._distance_exceeds(view, source, target, budget):
-                return model.canonical(faults)
-        return None
+        return self.find_breaking_fault_set_csr(
+            csr, source, target, budget, max_faults, model,
+            candidates=model.candidate_elements(graph, source, target))
 
     def find_breaking_fault_set_csr(self, csr: CSRGraph, source: Node,
                                     target: Node, budget: float,
@@ -365,17 +353,6 @@ class BranchAndBoundOracle(FaultCheckOracle):
     name = "branch-and-bound"
     exact = True
 
-    def find_breaking_fault_set(self, graph, source: Node, target: Node,
-                                budget: float, max_faults: int,
-                                fault_model: "str | FaultModel") -> Optional[FaultSet]:
-        model = get_fault_model(fault_model)
-        if isinstance(graph, Graph):
-            return self.find_breaking_fault_set_csr(
-                csr_snapshot(graph), source, target, budget, max_faults, model)
-        self.stats.count_query()
-        found = self._search(graph, source, target, budget, max_faults, model, [])
-        return model.canonical(found) if found is not None else None
-
     def find_breaking_fault_set_csr(self, csr: CSRGraph, source: Node,
                                     target: Node, budget: float,
                                     max_faults: int,
@@ -397,7 +374,7 @@ class BranchAndBoundOracle(FaultCheckOracle):
                     s: Optional[int], t: Optional[int], budget: float,
                     remaining: int, model: FaultModel,
                     current: List, mask: bytearray) -> Optional[List]:
-        """Mask-based twin of :meth:`_search`: branch = one byte write."""
+        """One search-tree node: query, then branch = one byte write."""
         self.stats.count_nodes_expanded()
         self.stats.count_distance_query()
         if s is None or t is None:
@@ -466,26 +443,6 @@ class BranchAndBoundOracle(FaultCheckOracle):
                 return current + [element]
         return None
 
-    def _search(self, graph, source: Node, target: Node, budget: float,
-                remaining: int, model: FaultModel,
-                current: List) -> Optional[List]:
-        self.stats.count_nodes_expanded()
-        view = model.apply(graph, current) if current else graph
-        self.stats.count_distance_query()
-        distance, path = bounded_path(view, source, target, budget)
-        if distance > budget:
-            return list(current)
-        if remaining == 0:
-            return None
-        for element in self._path_elements(path, source, target, model):
-            current.append(element)
-            result = self._search(graph, source, target, budget,
-                                  remaining - 1, model, current)
-            current.pop()
-            if result is not None:
-                return result
-        return None
-
     @staticmethod
     def _path_elements(path: List[Node], source: Node, target: Node,
                        model: FaultModel) -> List:
@@ -511,8 +468,9 @@ class TieredOracle(BranchAndBoundOracle):
     2. **Warm-started distance vectors** — the unfaulted distance
        ``dist_H(u, v)`` is read from a full SSSP vector cached across
        consecutive candidates sharing a source (the sorted-edges order the
-       greedy driver feeds makes those runs common; the cache key includes
-       the snapshot's edge count, so growing ``H`` invalidates it).  If
+       greedy driver feeds makes those runs common; the cache key is the
+       snapshot object itself plus its edge count, so growing ``H`` or
+       recompiling its snapshot invalidates it).  If
        ``dist_H(u, v) > budget`` the exact search's very first bounded query
        would exceed the budget and return ``model.canonical([])`` — the
        screen returns that same empty canonical witness.  If
@@ -543,9 +501,12 @@ class TieredOracle(BranchAndBoundOracle):
 
     def __init__(self, kernel: KernelLike = None) -> None:
         super().__init__(kernel)
-        # Warm SSSP cache: (id(csr), num_edges, source index) -> distances.
+        # Warm SSSP cache: (csr, num_edges, source index) -> distances.
         # One entry suffices — the greedy driver's candidate stream visits
         # sources in runs, and any accepted edge invalidates via num_edges.
+        # The key holds the snapshot itself, not its id(): a weight
+        # overwrite recompiles the snapshot, and the strong reference keeps
+        # the old one's address from being recycled for the new one.
         self._sssp_key: Optional[Tuple] = None
         self._sssp_dist: Optional[List[float]] = None
         self._previous_key: Optional[Tuple] = None
@@ -554,21 +515,6 @@ class TieredOracle(BranchAndBoundOracle):
         # Reusable packing/replay mask (MaskBuffer discipline: writes are
         # tracked and cleared, so masking costs O(elements), not O(n)).
         self._scratch: Optional[bytearray] = None
-
-    def find_breaking_fault_set(self, graph, source: Node, target: Node,
-                                budget: float, max_faults: int,
-                                fault_model: "str | FaultModel") -> Optional[FaultSet]:
-        model = get_fault_model(fault_model)
-        if isinstance(graph, Graph):
-            return self.find_breaking_fault_set_csr(
-                csr_snapshot(graph), source, target, budget, max_faults, model)
-        # Duck-typed graphs have no snapshot to screen against; hand the
-        # whole query to the view-based exact search.
-        self.stats.count_query()
-        self.stats.count_screen("fallthrough")
-        self.stats.count_exact()
-        found = self._search(graph, source, target, budget, max_faults, model, [])
-        return model.canonical(found) if found is not None else None
 
     def find_breaking_fault_set_csr(self, csr: CSRGraph, source: Node,
                                     target: Node, budget: float,
@@ -641,11 +587,12 @@ class TieredOracle(BranchAndBoundOracle):
         cutoff-free — a budget-bounded vector would read ``inf`` for
         reachable nodes past the cutoff and wrongly certify accepts for later
         candidates with larger budgets.  Any accepted edge invalidates the
-        cache through the ``num_edges`` component of the key.  Vector reads
+        cache through the ``num_edges`` component of the key, and a
+        recompiled snapshot through its (strongly held) object.  Vector reads
         return no path; callers that need one (packing, the exact search)
         issue their own path query.
         """
-        key = (id(csr), csr.num_edges, s)
+        key = (csr, csr.num_edges, s)
         if self._sssp_key == key and self._sssp_dist is not None:
             return self._sssp_dist[t], None
         backend = self.kernels.resolve(csr)
@@ -806,37 +753,12 @@ class GreedyPathPackingOracle(FaultCheckOracle):
     name = "greedy-path-packing"
     exact = False
 
-    def find_breaking_fault_set(self, graph, source: Node, target: Node,
-                                budget: float, max_faults: int,
-                                fault_model: "str | FaultModel") -> Optional[FaultSet]:
-        model = get_fault_model(fault_model)
-        if isinstance(graph, Graph):
-            return self.find_breaking_fault_set_csr(
-                csr_snapshot(graph), source, target, budget, max_faults, model)
-        self.stats.count_query()
-        chosen: List = []
-        for _ in range(max_faults + 1):
-            view = model.apply(graph, chosen) if chosen else graph
-            self.stats.count_distance_query()
-            distance, path = bounded_path(view, source, target, budget)
-            if distance > budget:
-                return model.canonical(chosen)
-            if len(chosen) >= max_faults:
-                return None
-            elements = BranchAndBoundOracle._path_elements(path, source, target, model)
-            if not elements:
-                # The short path has no faultable element (e.g. a direct edge
-                # under vertex faults): no fault set can break this pair.
-                return None
-            chosen.append(elements[len(elements) // 2])
-        return None
-
     def find_breaking_fault_set_csr(self, csr: CSRGraph, source: Node,
                                     target: Node, budget: float,
                                     max_faults: int,
                                     fault_model: "str | FaultModel",
                                     candidates: Optional[List] = None) -> Optional[FaultSet]:
-        """Mask-based twin of the view loop above (``candidates`` ignored)."""
+        # ``candidates`` is ignored: faults come from the short paths found.
         model = get_fault_model(fault_model)
         self.stats.count_query()
         s = csr.index_of.get(source)
@@ -858,6 +780,8 @@ class GreedyPathPackingOracle(FaultCheckOracle):
             path = [node_of[index] for index in index_path]
             elements = BranchAndBoundOracle._path_elements(path, source, target, model)
             if not elements:
+                # The short path has no faultable element (e.g. a direct edge
+                # under vertex faults): no fault set can break this pair.
                 return None
             element = elements[len(elements) // 2]
             chosen.append(element)
@@ -865,11 +789,15 @@ class GreedyPathPackingOracle(FaultCheckOracle):
         return None
 
 
+#: The oracle behind ``oracle=None`` and the ``exact`` alias: byte-identical
+#: to :class:`BranchAndBoundOracle`, and faster.
+DEFAULT_ORACLE = TieredOracle
+
 _ORACLES = {
     "exhaustive": ExhaustiveOracle,
     "branch-and-bound": BranchAndBoundOracle,
     "bnb": BranchAndBoundOracle,
-    "exact": BranchAndBoundOracle,
+    "exact": DEFAULT_ORACLE,
     "greedy-path-packing": GreedyPathPackingOracle,
     "heuristic": GreedyPathPackingOracle,
     "tiered": TieredOracle,
@@ -884,7 +812,7 @@ def available_oracles() -> List[str]:
 def oracle_name(name: "str | FaultCheckOracle | None") -> str:
     """Resolve a name, alias, or instance to its canonical oracle name."""
     if name is None:
-        return BranchAndBoundOracle.name
+        return DEFAULT_ORACLE.name
     if isinstance(name, FaultCheckOracle):
         return name.name
     if isinstance(name, str) and name.lower() in _ORACLES:
@@ -913,7 +841,7 @@ def get_oracle(name: "str | FaultCheckOracle | None",
     the oracle's CSR distance queries run on.
     """
     if name is None:
-        return BranchAndBoundOracle(kernel)
+        return DEFAULT_ORACLE(kernel)
     if isinstance(name, FaultCheckOracle):
         return name
     if isinstance(name, str) and name.lower() in _ORACLES:

@@ -10,7 +10,7 @@
         return H
 
 The existence check is delegated to a :class:`~repro.spanners.fault_check.FaultCheckOracle`
-(exact branch-and-bound by default).  The witnessing fault set ``F_e`` of each
+(the exact tiered oracle by default).  The witnessing fault set ``F_e`` of each
 added edge is recorded — Lemma 3 turns exactly these witnesses into a
 ``(k + 1)``-blocking set of size at most ``f · |E(H)|``, which is how the
 paper's size bound is proved and how experiment E5 validates it.
@@ -118,9 +118,10 @@ def ft_greedy_spanner(graph: Graph, stretch: float, max_faults: int,
         ``"vertex"`` (VFT, where the paper's bound is optimal) or ``"edge"``
         (EFT).
     oracle:
-        Fault-check oracle: ``"branch-and-bound"`` (default, exact),
-        ``"tiered"`` (exact, certified screens in front of branch-and-bound
-        — the fast choice at scale), ``"exhaustive"`` (exact, slow),
+        Fault-check oracle: ``"tiered"`` (default, exact: certified
+        screens in front of branch-and-bound), ``"branch-and-bound"``
+        (exact, byte-identical to ``"tiered"`` and slower),
+        ``"exhaustive"`` (exact, slow),
         ``"greedy-path-packing"`` (heuristic, polynomial — the resulting
         spanner may not be fully fault tolerant), or an oracle instance.
     record_witnesses:

@@ -23,18 +23,16 @@ property-style for both fault models.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.faults.adversarial import stretch_between_csr, stretch_under_faults
+from repro.faults.adversarial import stretch_between_csr
 from repro.faults.enumeration import count_fault_sets, enumerate_fault_sets, sample_fault_sets
 from repro.faults.models import FaultModel, FaultSet, get_fault_model
 from repro.graph.core import Graph, Node
 from repro.graph.csr import CSRGraph, csr_snapshot
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
-from repro.paths.dijkstra import dijkstra_distances
 from repro.paths.registry import KernelLike, get_kernels
 from repro.runtime.backend import BackendLike, get_backend
 from repro.runtime.merge import ChunkVerdict, merge_verdicts
@@ -89,8 +87,10 @@ def stretch_of(original: Graph, subgraph: Graph,
     Returns ``inf`` if some pair connected in ``original`` is disconnected in
     ``subgraph`` and ``1.0`` for graphs with fewer than two nodes.  The
     per-source sweep shards across ``workers`` (the merge is a plain
-    maximum, so parallel results are bit-identical to serial).
+    maximum, so parallel results are bit-identical to serial).  Both graphs
+    must be :class:`Graph` instances (views raise ``TypeError``).
     """
+    csr_g, csr_h = csr_snapshot(original), csr_snapshot(subgraph)
     sources: Iterable[Node]
     restrict = None
     if pairs is not None:
@@ -101,41 +101,26 @@ def stretch_of(original: Graph, subgraph: Graph,
     else:
         sources = list(original.nodes())
 
-    if isinstance(original, Graph) and isinstance(subgraph, Graph):
-        # APSP sweep over the cached CSR snapshots: per source two kernel
-        # runs and one pass over the settled indices — no per-source dicts.
-        for source in sources:
-            if not original.has_node(source):
-                raise ValueError(f"source {source!r} not in graph")
-        resolved = get_backend(backend, workers)
-        context = _SweepContext(
-            csr_g=csr_snapshot(original), csr_h=csr_snapshot(subgraph),
-            restrict=(None if restrict is None else
-                      {node: frozenset(targets)
-                       for node, targets in restrict.items()}),
-            kernel=get_kernels(kernel).name,
-        )
-        worst = 1.0
-        for chunk_worst in resolved.map(_sweep_chunk,
-                                        split_sequence(sources, resolved.workers),
-                                        context=context,
-                                        metrics=get_registry()):
-            if chunk_worst > worst:
-                worst = chunk_worst
-        return worst
-
-    worst = 1.0
+    # APSP sweep over the cached CSR snapshots: per source two kernel runs
+    # and one pass over the settled indices — no per-source dicts.
     for source in sources:
-        base = dijkstra_distances(original, source)
-        sub = dijkstra_distances(subgraph, source) if subgraph.has_node(source) else {}
-        for target, base_distance in base.items():
-            if target == source or base_distance == 0:
-                continue
-            if restrict is not None and target not in restrict.get(source, ()):
-                continue
-            ratio = sub.get(target, math.inf) / base_distance
-            if ratio > worst:
-                worst = ratio
+        if not original.has_node(source):
+            raise ValueError(f"source {source!r} not in graph")
+    resolved = get_backend(backend, workers)
+    context = _SweepContext(
+        csr_g=csr_g, csr_h=csr_h,
+        restrict=(None if restrict is None else
+                  {node: frozenset(targets)
+                   for node, targets in restrict.items()}),
+        kernel=get_kernels(kernel).name,
+    )
+    worst = 1.0
+    for chunk_worst in resolved.map(_sweep_chunk,
+                                    split_sequence(sources, resolved.workers),
+                                    context=context,
+                                    metrics=get_registry()):
+        if chunk_worst > worst:
+            worst = chunk_worst
     return worst
 
 
@@ -235,12 +220,14 @@ def is_ft_spanner(original: Graph, subgraph: Graph, stretch: float, max_faults: 
     sampled mode: removing fewer elements can only decrease distances in the
     surviving original graph as well, but because *both* sides change, the
     exhaustive mode still checks all sizes (the paper's definition quantifies
-    over ``|F| ≤ f``).
+    over ``|F| ≤ f``).  Both graphs must be :class:`Graph` instances (views
+    raise ``TypeError``).
     """
     if stretch < 1:
         raise ValueError("stretch must be at least 1")
     if max_faults < 0:
         raise ValueError("max_faults must be non-negative")
+    csr_g, csr_h = csr_snapshot(original), csr_snapshot(subgraph)
     model = get_fault_model(fault_model)
     elements = model.all_elements(original)
     total_sets = count_fault_sets(len(elements), max_faults)
@@ -264,32 +251,17 @@ def is_ft_spanner(original: Graph, subgraph: Graph, stretch: float, max_faults: 
     _VERIFY_RUNS.inc()
     with get_tracer().span("verify.is_ft_spanner", method=method,
                            max_faults=max_faults, workers=workers) as span:
-        if isinstance(original, Graph) and isinstance(subgraph, Graph):
-            resolved = get_backend(backend, workers)
-            context = _VerifyContext(csr_g=csr_snapshot(original),
-                                     csr_h=csr_snapshot(subgraph),
-                                     fault_model=model.name, threshold=threshold,
-                                     kernel=get_kernels(kernel).name)
-            chunks = iter_chunks(candidates,
-                                 chunk_size_for(total, resolved.workers))
-            verdict = merge_verdicts(
-                resolved.imap(_verify_chunk, chunks, context=context,
-                              metrics=get_registry()))
-            worst, checked = verdict.worst, verdict.checked
-            violating = verdict.witness
-        else:
-            # Graph views have no CSR snapshot to ship; keep the plain scan.
-            worst = 1.0
-            checked = 0
-            violating = None
-            for faults in candidates:
-                checked += 1
-                value = stretch_under_faults(original, subgraph, model, faults)
-                if value > worst:
-                    worst = value
-                if value > threshold:
-                    violating = model.canonical(faults)
-                    break
+        resolved = get_backend(backend, workers)
+        context = _VerifyContext(csr_g=csr_g, csr_h=csr_h,
+                                 fault_model=model.name, threshold=threshold,
+                                 kernel=get_kernels(kernel).name)
+        chunks = iter_chunks(candidates,
+                             chunk_size_for(total, resolved.workers))
+        verdict = merge_verdicts(
+            resolved.imap(_verify_chunk, chunks, context=context,
+                          metrics=get_registry()))
+        worst, checked = verdict.worst, verdict.checked
+        violating = verdict.witness
         _VERIFY_CHECKED.inc(checked)
         if violating is not None:
             _VERIFY_VIOLATIONS.inc()

@@ -5,15 +5,23 @@ behavioural equivalence with the dict-based reference path (``ExclusionView``
 + the view implementations in :mod:`repro.paths`): same distances, same
 witness paths, same dict insertion order, and therefore byte-identical
 spanners.  These tests drive that contract property-style on random graphs
-with random fault masks, and also exercise the snapshot lifecycle
-(version-keyed caching, incremental append, overflow compaction).
+with random fault masks, check that the oracle, verification and adversarial
+entry points accept nothing but a ``Graph`` (views raise ``TypeError``), and
+exercise the snapshot lifecycle (version-keyed caching, incremental append,
+overflow compaction).
 """
 
 import math
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.faults.adversarial import (
+    random_fault_trial,
+    stretch_under_faults,
+    worst_case_fault_set,
+)
 from repro.graph.core import Graph, edge_key
 from repro.graph.csr import CSRGraph, csr_snapshot
 from repro.graph.views import ExclusionView
@@ -25,11 +33,8 @@ from repro.paths.kernels import (
     bounded_dijkstra_path_csr,
     sssp_dijkstra_csr,
 )
-from repro.spanners.fault_check import (
-    BranchAndBoundOracle,
-    ExhaustiveOracle,
-    GreedyPathPackingOracle,
-)
+from repro.spanners.fault_check import get_oracle
+from repro.spanners.verify import is_ft_spanner, stretch_of
 from repro.utils.rng import RandomSource
 
 SETTINGS = settings(max_examples=40, deadline=None,
@@ -252,27 +257,39 @@ def test_bfs_kernels_match_view_reference(instance):
 
 
 # --------------------------------------------------------------------------
-# Oracles: CSR mask path vs view fallback path
+# Entry points: a Graph in, the CSR snapshot + masks underneath
 # --------------------------------------------------------------------------
 
-@SETTINGS
-@given(masked_instances(max_nodes=8),
-       st.integers(min_value=0, max_value=2),
-       st.sampled_from(["vertex", "edge"]),
-       st.sampled_from([ExhaustiveOracle, BranchAndBoundOracle,
-                        GreedyPathPackingOracle]))
-def test_oracles_agree_between_csr_and_view_paths(instance, faults, model, oracle_cls):
-    graph, _, _, source, target, budget = instance
-    if source == target:
-        return
-    if oracle_cls is ExhaustiveOracle and faults > 1:
-        faults = 1  # keep the ground-truth oracle affordable
-    csr_result = oracle_cls().find_breaking_fault_set(
-        graph, source, target, budget, faults, model)
-    # An exclusion-free view forces the legacy view-based implementation.
-    view_result = oracle_cls().find_breaking_fault_set(
-        ExclusionView(graph), source, target, budget, faults, model)
-    assert csr_result == view_result
+def _oracle_call(name):
+    return lambda graph: get_oracle(name).find_breaking_fault_set(
+        graph, 0, 2, 1.5, 1, "vertex")
+
+
+_VIEW_ENTRY_POINTS = [
+    *(pytest.param(_oracle_call(name), 1, id=f"oracle-{name}")
+      for name in ("exhaustive", "branch-and-bound", "tiered",
+                   "greedy-path-packing")),
+    pytest.param(lambda g, h: is_ft_spanner(g, h, 3, 1), 2,
+                 id="is_ft_spanner"),
+    pytest.param(stretch_of, 2, id="stretch_of"),
+    pytest.param(lambda g, h: stretch_under_faults(g, h, "vertex", [1]), 2,
+                 id="stretch_under_faults"),
+    pytest.param(lambda g, h: worst_case_fault_set(g, h, "vertex", 1), 2,
+                 id="worst_case_fault_set"),
+    pytest.param(lambda g, h: random_fault_trial(g, h, "vertex", 1, 3, rng=0),
+                 2, id="random_fault_trial"),
+]
+
+
+@pytest.mark.parametrize("entry, arity", _VIEW_ENTRY_POINTS)
+def test_entry_points_raise_type_error_on_views(entry, arity):
+    graph = Graph(edges=[(0, 1), (1, 2), (0, 2, 3.0)])
+    view = ExclusionView(graph)
+    for position in range(arity):
+        args = [graph] * arity
+        args[position] = view
+        with pytest.raises(TypeError, match="expected a Graph"):
+            entry(*args)
 
 
 # --------------------------------------------------------------------------

@@ -388,14 +388,31 @@ class TestTieredOracleMaintenance:
         screens must leave every re-admission decision (and witness)
         unchanged across a whole churn journal."""
         graph = generators.gnm(20, 64, rng=10, connected=True, weighted=True)
-        journal = random_journal(graph, 30, rng=17)
-        exact = DynamicSpanner(graph.copy(), _spec(fault_model=fault_model))
-        exact.apply_journal(journal)
+        exact = DynamicSpanner(
+            graph.copy(),
+            _spec(fault_model=fault_model, oracle="branch-and-bound"))
+        # Interleave the random churn with reweights of edges that are in H
+        # when they apply, alternately up (a repair sweep) and down (free,
+        # but H's snapshot is recompiled under the oracle's warm cache).
+        journal = []
+        for step, update in enumerate(random_journal(graph, 30, rng=17)):
+            exact.apply(update)
+            journal.append(update)
+            if step % 3 == 2:
+                edges = list(exact.spanner.edges())
+                u, v, weight = edges[(7 * step) % len(edges)]
+                factor = 2.5 if step % 2 else 0.5
+                reweight = WeightChange(u, v, weight * factor)
+                exact.apply(reweight)
+                journal.append(reweight)
         tiered = DynamicSpanner(
             graph.copy(), _spec(fault_model=fault_model, oracle="tiered"))
-        tiered.apply_journal(journal)
-        assert list(tiered.spanner.edges()) == list(exact.spanner.edges())
-        assert tiered.witnesses == exact.witnesses
+        default = DynamicSpanner(graph.copy(), _spec(fault_model=fault_model))
+        assert default.oracle.name == "tiered"
+        for other in (tiered, default):
+            other.apply_journal(journal)
+            assert list(other.spanner.edges()) == list(exact.spanner.edges())
+            assert other.witnesses == exact.witnesses
 
 
 # --------------------------------------------------------------------------

@@ -320,7 +320,7 @@ def test_snapshot_roundtrip_with_original_and_metadata(tmp_path):
     graph = generators.gnm(16, 48, rng=5, connected=True)
     result = ft_greedy_spanner(graph, 3, 1)
     snapshot = SpannerSnapshot.from_result(result)
-    assert snapshot.metadata["oracle"] == "branch-and-bound"
+    assert snapshot.metadata["oracle"] == "tiered"
     path = tmp_path / "spanner.snapshot.json"
     snapshot.save(path)
     assert SpannerSnapshot.is_snapshot_file(path)

@@ -18,6 +18,7 @@ from repro.spanners.fault_check import (
     available_oracles,
     describe_oracles,
     get_oracle,
+    oracle_name,
 )
 
 
@@ -30,8 +31,10 @@ def _witness_is_valid(graph, source, target, budget, max_faults, model_name, wit
 
 
 class TestOracleResolution:
-    def test_default_is_branch_and_bound(self):
-        assert isinstance(get_oracle(None), BranchAndBoundOracle)
+    def test_default_is_tiered(self):
+        assert type(get_oracle(None)) is TieredOracle
+        assert type(get_oracle("exact")) is TieredOracle
+        assert oracle_name(None) == oracle_name("exact") == "tiered"
 
     def test_lookup_by_name(self):
         assert isinstance(get_oracle("exhaustive"), ExhaustiveOracle)
@@ -210,6 +213,39 @@ class TestTieredOracle:
                     graph, source, target, 3.0, 2, fault_model)
                 assert answer == exact, (source, target)
         assert screened > 0, "workload never exercised a screen"
+
+    def test_weight_increase_does_not_serve_a_stale_sssp_vector(self):
+        """A weight overwrite recompiles H's snapshot, and CPython may hand
+        the new snapshot the freed one's address: the warm SSSP cache must
+        not match it and answer from the old distances."""
+        graph = Graph(edges=[(0, 1), (1, 2), (0, 3)])
+        tiered = TieredOracle()
+        # Two same-source queries warm the full SSSP vector for source 0.
+        tiered.find_breaking_fault_set(graph, 0, 3, 2.5, 0, "vertex")
+        assert tiered.find_breaking_fault_set(graph, 0, 2, 2.5, 0,
+                                              "vertex") is None
+        graph.add_edge(1, 2, 5.0)
+        # Query before anything else allocates, so the recompiled snapshot
+        # is likely to land on the old one's address.
+        answer = tiered.find_breaking_fault_set(graph, 0, 2, 2.5, 0, "vertex")
+        exact = BranchAndBoundOracle().find_breaking_fault_set(
+            graph, 0, 2, 2.5, 0, "vertex")
+        assert exact == frozenset()
+        assert answer == exact
+
+    def test_weight_decrease_does_not_serve_a_stale_sssp_vector(self):
+        graph = Graph(edges=[(0, 1), (1, 2, 5.0), (0, 3), (0, 2, 5.0)])
+        tiered = TieredOracle()
+        tiered.find_breaking_fault_set(graph, 0, 3, 2.5, 1, "vertex")
+        assert tiered.find_breaking_fault_set(graph, 0, 2, 2.5, 1,
+                                              "vertex") == frozenset()
+        # The direct edge drops within budget: no vertex fault can break it.
+        graph.add_edge(0, 2, 1.0)
+        answer = tiered.find_breaking_fault_set(graph, 0, 2, 2.5, 1, "vertex")
+        exact = BranchAndBoundOracle().find_breaking_fault_set(
+            graph, 0, 2, 2.5, 1, "vertex")
+        assert exact is None
+        assert answer is None
 
     def test_stats_reconcile_per_query(self):
         graph = generators.gnm(12, 30, rng=3, connected=True, weighted=True)

@@ -195,10 +195,15 @@ class TestTieredOracleBuilds:
     def test_serial_identical_to_exact(self, medium_random, fault_model,
                                        max_faults):
         exact = ft_greedy_spanner(medium_random, 3, max_faults,
-                                  fault_model=fault_model)
+                                  fault_model=fault_model,
+                                  oracle="branch-and-bound")
         tiered = ft_greedy_spanner(medium_random, 3, max_faults,
                                    fault_model=fault_model, oracle="tiered")
+        default = ft_greedy_spanner(medium_random, 3, max_faults,
+                                    fault_model=fault_model)
         assert self._fields(tiered) == self._fields(exact)
+        assert self._fields(default) == self._fields(exact)
+        assert default.algorithm == "ft-greedy[tiered]"
         assert tiered.parameters["oracle_exact"] is True
         assert 0.0 <= tiered.parameters["screen_hit_rate"] <= 1.0
         outcomes = tiered.parameters["screen_outcomes"]

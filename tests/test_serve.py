@@ -637,6 +637,17 @@ class TestDaemonTransport:
             assert slow_answer == [6.0]
             probe.close()
 
+    def test_request_drain_after_the_loop_closed_is_a_no_op(self):
+        daemon = ServingDaemon(FakeCore(), port=0)
+        thread = threading.Thread(
+            target=lambda: asyncio.run(daemon.run(install_signals=False)))
+        thread.start()
+        daemon.wait_until_started()
+        daemon.request_drain()
+        thread.join(timeout=15)
+        assert not thread.is_alive()
+        daemon.request_drain()  # the drained daemon's loop is closed
+
     def test_websocket_session_pipelines_and_reports_errors(self):
         with run_daemon(FakeCore()) as (daemon, host, port):
             client = DaemonClient(host, port)
