@@ -22,6 +22,12 @@ actually having >= 4 usable cores (the recorded ``cores`` /
 ``speedup_asserted`` fields say whether the gate was armed), because on a
 single-core container a process pool cannot beat the serial scan no matter
 how the work is sharded.
+
+The machine-independent companion is ``kernel_dispatches_per_fault_set``:
+the ``kernels.dispatch`` counter delta of the serial run divided by its
+fault sets.  Each fault set costs at most one early-exit search in
+``H \\ F`` per source (the all-pairs sweep it replaced paid two full SSSPs
+per source), so the value must stay ``<= n`` on any machine.
 """
 
 import argparse
@@ -32,6 +38,7 @@ import time
 import pytest
 
 from repro.graph import generators
+from repro.obs.metrics import get_registry
 from repro.runtime import ProcessPoolBackend, SerialBackend, usable_cpu_count
 from repro.spanners.ft_greedy import ft_greedy_spanner
 from repro.spanners.greedy import greedy_spanner
@@ -60,6 +67,12 @@ def _report_fields(report) -> dict:
         "witness": (sorted(report.violating_fault_set, key=repr)
                     if report.violating_fault_set is not None else None),
     }
+
+
+def _kernel_dispatches(delta: dict) -> float:
+    """Total ``kernels.dispatch`` movement over every backend label."""
+    return sum(value for name, value in delta.items()
+               if name.split("{")[0] == "kernels.dispatch")
 
 
 def _time_best_of(fn, repeats: int = 2) -> float:
@@ -102,7 +115,14 @@ def record_verify_parallel(path=None, *, quick: bool = False,
             return is_ft_spanner(graph, spanner, 3, 2, fault_model,
                                  method="exhaustive", backend=backend)
 
+        before = get_registry().counters()
         serial_report = run(serial)
+        dispatches_per_set = (
+            _kernel_dispatches(get_registry().counters_delta(before))
+            / serial_report.fault_sets_checked)
+        assert dispatches_per_set <= n, (
+            f"{fault_model}: {dispatches_per_set} kernel dispatches per fault "
+            f"set exceed one search per source ({n})")
         pooled_report = run(pooled)
         assert _report_fields(pooled_report) == _report_fields(serial_report), (
             f"parallel verification diverged from serial on {fault_model}"
@@ -122,6 +142,7 @@ def record_verify_parallel(path=None, *, quick: bool = False,
             "n": n, "m": m, "max_faults": 2,
             "spanner_edges": ft.number_of_edges(),
             "fault_sets": serial_report.fault_sets_checked,
+            "kernel_dispatches_per_fault_set": round(dispatches_per_set, 2),
             "serial_s": round(serial_s, 3),
             "parallel_s": round(pooled_s, 3),
             "speedup": round(serial_s / pooled_s, 2),
@@ -182,7 +203,8 @@ if __name__ == "__main__":
                                      workers=args.workers)
     for case in outcome["cases"]:
         print(f"{case['fault_model']:6s} n={case['n']} m={case['m']} "
-              f"({case['fault_sets']} fault sets): "
+              f"({case['fault_sets']} fault sets, "
+              f"{case['kernel_dispatches_per_fault_set']} dispatches/set): "
               f"serial {case['serial_s']}s, "
               f"{outcome['workers']} workers {case['parallel_s']}s "
               f"-> {case['speedup']}x (verdicts+witnesses identical)")

@@ -51,39 +51,61 @@ def stretch_under_faults(original: Graph, spanner: Graph,
     Parameters
     ----------
     pairs:
-        Restrict attention to these pairs; default is all pairs.
+        Restrict attention to these pairs; default is all pairs, evaluated
+        over the edges of ``original \\ F`` (see :func:`stretch_between_csr`).
     """
     return stretch_between_csr(csr_snapshot(original), csr_snapshot(spanner),
                                get_fault_model(fault_model), list(faults),
                                pairs, kernel=kernel)
 
 
-def _h_index_map(csr_g: CSRGraph, csr_h: CSRGraph):
-    """Vectorized ``csr_g`` node index -> ``csr_h`` node index translation.
+def _edge_plan(csr_g: CSRGraph, csr_h: CSRGraph) -> List:
+    """The G edges whose stretch must be searched for, grouped by source.
 
-    Returns ``(indices, known)`` ndarrays over ``csr_g``'s index space;
-    ``known[i]`` is false when node ``i`` is absent from ``csr_h`` (the
-    translated index is then a harmless 0).  Memoised on ``csr_g`` (with a
-    strong reference to ``csr_h``, so object identity cannot be recycled)
-    and rebuilt when either side gained nodes.
+    Entry ``u`` (a ``csr_g`` index) is ``None`` when no edge needs a search,
+    else ``(h_source, edges)``: ``h_source`` is ``u``'s index in ``csr_h``
+    (``None`` if absent) and ``edges`` lists ``(v, h_v, weight, edge_id)``
+    for the G edges ``(u, v)`` with ``v > u``, so each undirected edge is
+    listed once, under its lower endpoint.  An edge that H covers with an
+    edge of weight ``<= weight`` is left out: unfaulted it has ratio
+    ``<= 1`` and cannot raise the running maximum above its 1.0 start, and
+    faulted it is dropped anyway (both fault models name an edge by its
+    endpoints, so F removes it from G and H alike).
+
+    Memoised on ``csr_h`` — the candidate spanner, usually the shorter-
+    lived snapshot, so a plan never keeps a discarded spanner alive —
+    keyed on a strong reference to ``csr_g`` (object identity cannot be
+    recycled while the entry lives) and both snapshots' node and edge
+    counts: a snapshot only grows in place, and a weight overwrite or
+    removal recompiles the graph into a new snapshot object.
     """
-    import numpy as np
-
-    cached = csr_g._nd_views.get("hmap")
-    if (cached is not None and cached[0] is csr_h
-            and len(cached[2]) == csr_g.num_nodes
-            and cached[1] == csr_h.num_nodes):
-        return cached[2], cached[3]
+    key = (csr_g.num_nodes, csr_g.num_edges, csr_h.num_nodes, csr_h.num_edges)
+    cached = csr_h._nd_views.get("edge_plan")
+    if cached is not None and cached[0] is csr_g and cached[1] == key:
+        return cached[2]
+    h_weight = [0.0] * csr_h.num_edges
+    for index in range(csr_h.num_nodes):
+        for _, weight, eid in csr_h.arcs(index):
+            h_weight[eid] = weight
     h_index = csr_h.index_of
-    indices = np.zeros(csr_g.num_nodes, dtype=np.int64)
-    known = np.zeros(csr_g.num_nodes, dtype=bool)
-    for i, node in enumerate(csr_g.node_of):
-        j = h_index.get(node)
-        if j is not None:
-            indices[i] = j
-            known[i] = True
-    csr_g._nd_views["hmap"] = (csr_h, csr_h.num_nodes, indices, known)
-    return indices, known
+    h_edge_index = csr_h.edge_index
+    plan: List = [None] * csr_g.num_nodes
+    for u, node in enumerate(csr_g.node_of):
+        hu = h_index.get(node)
+        edges = []
+        for v, weight, eid in csr_g.arcs(u):
+            if v < u:
+                continue
+            hv = h_index.get(csr_g.node_of[v])
+            if hu is not None and hv is not None:
+                h_eid = h_edge_index.get((hu, hv) if hu < hv else (hv, hu))
+                if h_eid is not None and h_weight[h_eid] <= weight:
+                    continue
+            edges.append((v, hv, weight, eid))
+        if edges:
+            plan[u] = (hu, edges)
+    csr_h._nd_views["edge_plan"] = (csr_g, key, plan)
+    return plan
 
 
 def stretch_between_csr(csr_g: CSRGraph, csr_h: CSRGraph, model: FaultModel,
@@ -95,17 +117,28 @@ def stretch_between_csr(csr_g: CSRGraph, csr_h: CSRGraph, model: FaultModel,
     """Mask-based stretch of ``csr_h \\ F`` w.r.t. ``csr_g \\ F``.
 
     The implementation behind :func:`stretch_under_faults`: applies the
-    fault set as kernel masks over the two snapshots and compares distance
-    arrays directly — no per-source dict materialisation.  Operating on
+    fault set as kernel masks over the two snapshots.  Operating on
     snapshots alone is what lets worker processes evaluate fault sets
-    against a context shipped once (:mod:`repro.runtime.backend`) and still
-    produce the exact serial floats: ``csr_g.node_of`` preserves the graph's
-    node insertion order, so the source sweep is identical.
+    against a context shipped once (:mod:`repro.runtime.backend`).
 
-    ``sources`` / ``restrict`` override the default all-pairs sweep without
-    going through ``pairs`` — this is how sharded source sweeps hand one
-    chunk of sources (and a prebuilt source → allowed-targets map) to each
-    worker.
+    **All pairs reduce to the edges of G.**  Any shortest path in
+    ``G \\ F`` is made of edges, so if every edge ``(u, v)`` of ``G \\ F``
+    has ``d_{H\\F}(u, v) <= r * w(u, v)`` then every pair has stretch at
+    most ``r``; conversely ``w(u, v) >= d_{G\\F}(u, v)``, so an edge ratio
+    never exceeds the pairwise maximum.  The worst pairwise stretch
+    therefore equals ``max d_{H\\F}(u, v) / w(u, v)`` over the edges of
+    ``G \\ F`` (Althöfer et al., 1993), up to float rounding (a distance
+    may be summed along the other direction of a path).  Without a target
+    restriction this is what runs: per unfaulted source, one multi-target
+    search in ``H \\ F`` that stops when its last target settles
+    (see :func:`_edge_plan`) — no search in G at all.
+
+    ``pairs`` / ``restrict`` instead compare arbitrary pairs, which need G
+    distances: per source one SSSP in each snapshot.  ``sources`` limits
+    either sweep to a chunk of sources — this is how sharded source sweeps
+    hand one chunk (and a prebuilt source → allowed-targets map) to each
+    worker; ``csr_g.node_of`` preserves the graph's node order, so chunks
+    partition the serial sweep.
     """
     vertex = model.uses_vertex_mask
     mask_g = model.new_mask(csr_g)
@@ -114,59 +147,63 @@ def stretch_between_csr(csr_g: CSRGraph, csr_h: CSRGraph, model: FaultModel,
     mask_h = model.new_mask(csr_h)
     for index in model.mask_indices(csr_h, fault_list):
         mask_h[index] = 1
-    vm_g, em_g = model.kernel_masks(mask_g)
     vm_h, em_h = model.kernel_masks(mask_h)
 
-    node_of_g = csr_g.node_of
     g_index = csr_g.index_of
     h_index = csr_h.index_of
+    kernels = get_kernels(kernel)
 
     if pairs is not None:
         restrict = {}
         for u, v in pairs:
             restrict.setdefault(u, set()).add(v)
         sources = sorted({pair[0] for pair in pairs}, key=repr)
-    elif sources is None:
-        sources = node_of_g
 
-    kernels = get_kernels(kernel)
-    kernels_g = kernels.resolve(csr_g)
-    kernels_h = kernels.resolve(csr_h)
-
-    if (restrict is None and kernels_g.sssp_arrays is not None
-            and kernels_h.sssp_arrays is not None):
-        # No target restriction: the per-source target scan collapses into
-        # one vectorised ratio computation.  The floats are the serial ones
-        # (same per-pair division, and a maximum is order-independent), so
-        # this path is bit-identical to the loop below.
-        import numpy as np
-
-        h_of_g, known = _h_index_map(csr_g, csr_h)
+    if restrict is None:
+        plan = _edge_plan(csr_g, csr_h)
+        if sources is None:
+            source_indices: Iterable = range(csr_g.num_nodes)
+        else:
+            source_indices = (g_index.get(source) for source in sources)
         worst = 1.0
-        for source in sources:
-            si = g_index.get(source)
+        for si in source_indices:
             if si is None or (vertex and mask_g[si]):
                 continue
-            base = kernels_g.sssp_arrays(csr_g, si, vm_g, em_g)
-            valid = np.isfinite(base) & (base > 0.0)
-            if not valid.any():
+            entry = plan[si]
+            if entry is None:
                 continue
-            hs = h_index.get(source)
-            if hs is None or (vertex and mask_h[hs]):
+            hs, edges = entry
+            targets = []
+            lengths = []
+            for v, hv, weight, eid in edges:
+                if mask_g[v] if vertex else mask_g[eid]:
+                    continue
+                if hv is None:
+                    return math.inf
+                targets.append(hv)
+                lengths.append(weight)
+            if not targets:
+                continue
+            if hs is None:
                 return math.inf
-            sub_h = kernels_h.sssp_arrays(csr_h, hs, vm_h, em_h)
-            sub = np.where(known, sub_h[h_of_g], np.inf)
-            ratio = float((sub[valid] / base[valid]).max())
-            if ratio > worst:
-                worst = ratio
+            # One resolve per search: the ``kernels.dispatch`` counter then
+            # counts the searches a fault set cost.
+            search = kernels.resolve(csr_h).multi_target_dijkstra_csr
+            for distance, weight in zip(search(csr_h, hs, targets, vm_h, em_h),
+                                        lengths):
+                ratio = distance / weight
+                if ratio > worst:
+                    worst = ratio
             if worst == math.inf:
                 return worst
         return worst
 
-    sssp_g = kernels_g.sssp_dijkstra_csr
-    sssp_h = kernels_h.sssp_dijkstra_csr
+    vm_g, em_g = model.kernel_masks(mask_g)
+    node_of_g = csr_g.node_of
+    sssp_g = kernels.resolve(csr_g).sssp_dijkstra_csr
+    sssp_h = kernels.resolve(csr_h).sssp_dijkstra_csr
     worst = 1.0
-    for source in sources:
+    for source in (node_of_g if sources is None else sources):
         si = g_index.get(source)
         if si is None or (vertex and mask_g[si]):
             continue
@@ -176,13 +213,13 @@ def stretch_between_csr(csr_g: CSRGraph, csr_h: CSRGraph, model: FaultModel,
             sub_dist = None
         else:
             sub_dist = sssp_h(csr_h, hs, None, vm_h, em_h)[0]
-        allowed = restrict.get(source, ()) if restrict is not None else None
+        allowed = restrict.get(source, ())
         for index in base_order:
             target = node_of_g[index]
             base_distance = base_dist[index]
             if target == source or base_distance == 0:
                 continue
-            if allowed is not None and target not in allowed:
+            if target not in allowed:
                 continue
             if sub_dist is None:
                 ratio = math.inf

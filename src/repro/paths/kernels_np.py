@@ -254,22 +254,6 @@ def sssp_dijkstra_csr(csr: CSRGraph, source: int,
     return dist.tolist(), order.tolist()
 
 
-def sssp_arrays_csr(csr: CSRGraph, source: int,
-                    vertex_mask: Optional[bytearray] = None,
-                    edge_mask: Optional[bytearray] = None) -> np.ndarray:
-    """Raw ndarray SSSP (no settle order) for vectorized consumers.
-
-    Same distance bits as :func:`sssp_dijkstra_csr`; skips the order
-    reconstruction that order-insensitive sweeps (e.g. the stretch ratio
-    scan in :mod:`repro.faults.adversarial`) never read.
-    """
-    n = csr.num_nodes
-    if vertex_mask is not None and vertex_mask[source]:
-        return np.full(n, np.inf)
-    return _relax(csr.as_ndarrays(), n, source, None, _mask_nd(vertex_mask),
-                  _mask_nd(edge_mask))
-
-
 def multi_target_dijkstra_csr(csr: CSRGraph, source: int, targets: List[int],
                               vertex_mask: Optional[bytearray] = None,
                               edge_mask: Optional[bytearray] = None

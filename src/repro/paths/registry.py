@@ -64,7 +64,7 @@ class KernelBackend:
     """A named bundle of CSR kernel callables.
 
     The six required kernels share signatures with their reference
-    definitions in :mod:`repro.paths.kernels`.  The optional batched/raw
+    definitions in :mod:`repro.paths.kernels`.  The optional batched
     entry points are ``None`` when a backend has no fused implementation;
     consumers fall back to per-query calls.
     """
@@ -79,7 +79,6 @@ class KernelBackend:
     bounded_bfs_csr: Callable
     multi_source_sssp: Optional[Callable] = None
     multi_source_multi_target: Optional[Callable] = None
-    sssp_arrays: Optional[Callable] = None
 
     def resolve(self, csr: CSRGraph) -> "KernelBackend":
         """The concrete backend serving ``csr`` (identity for real backends)."""
@@ -187,7 +186,6 @@ else:
         bounded_bfs_csr=_np_kernels.bounded_bfs_csr,
         multi_source_sssp=_np_kernels.multi_source_sssp_csr,
         multi_source_multi_target=_np_kernels.multi_source_multi_target_csr,
-        sssp_arrays=_np_kernels.sssp_arrays_csr,
     ))
 
 def _auto_dispatch(kernel_name: str) -> Callable:

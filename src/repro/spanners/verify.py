@@ -70,8 +70,8 @@ def _sweep_chunk(ctx: _SweepContext, sources: List[Node]) -> float:
     """Worst stretch over one chunk of source vertices (no faults).
 
     Delegates to :func:`stretch_between_csr` with an empty fault set so the
-    per-source target scan lives in exactly one place; an all-zero mask
-    gates nothing, so the floats match the unmasked kernels bit-for-bit.
+    per-source scan lives in exactly one place; an all-zero mask gates
+    nothing, so the floats match the unmasked kernels bit-for-bit.
     """
     return stretch_between_csr(ctx.csr_g, ctx.csr_h, get_fault_model("vertex"),
                                [], sources=sources, restrict=ctx.restrict,
@@ -85,10 +85,14 @@ def stretch_of(original: Graph, subgraph: Graph,
     """Worst stretch ``dist_H(s, t) / dist_G(s, t)`` over pairs connected in ``G``.
 
     Returns ``inf`` if some pair connected in ``original`` is disconnected in
-    ``subgraph`` and ``1.0`` for graphs with fewer than two nodes.  The
-    per-source sweep shards across ``workers`` (the merge is a plain
-    maximum, so parallel results are bit-identical to serial).  Both graphs
-    must be :class:`Graph` instances (views raise ``TypeError``).
+    ``subgraph`` and ``1.0`` for graphs with fewer than two nodes.  Without
+    ``pairs`` the maximum is taken over the edges of ``original`` instead,
+    ``dist_H(u, v) / w(u, v)``: every shortest path of ``G`` is made of
+    edges, so this is the same maximum up to float rounding, at one early-
+    exit search in ``H`` per source and none in ``G``.  The per-source sweep
+    shards across ``workers`` (the merge is a plain maximum, so parallel
+    results are bit-identical to serial).  Both graphs must be
+    :class:`Graph` instances (views raise ``TypeError``).
     """
     csr_g, csr_h = csr_snapshot(original), csr_snapshot(subgraph)
     sources: Iterable[Node]
@@ -101,8 +105,8 @@ def stretch_of(original: Graph, subgraph: Graph,
     else:
         sources = list(original.nodes())
 
-    # APSP sweep over the cached CSR snapshots: per source two kernel runs
-    # and one pass over the settled indices — no per-source dicts.
+    # Per-source sweep over the cached CSR snapshots (per edge without
+    # ``pairs``, per pair with them) — no per-source dicts.
     for source in sources:
         if not original.has_node(source):
             raise ValueError(f"source {source!r} not in graph")
@@ -216,12 +220,19 @@ def is_ft_spanner(original: Graph, subgraph: Graph, stretch: float, max_faults: 
 
     Notes
     -----
-    Only fault sets of size exactly ``max_faults`` need to be sampled in the
-    sampled mode: removing fewer elements can only decrease distances in the
-    surviving original graph as well, but because *both* sides change, the
-    exhaustive mode still checks all sizes (the paper's definition quantifies
-    over ``|F| ≤ f``).  Both graphs must be :class:`Graph` instances (views
-    raise ``TypeError``).
+    Each fault set is checked per edge (see
+    :func:`~repro.faults.adversarial.stretch_between_csr`): ``H \\ F`` is a
+    ``k``-spanner of ``G \\ F`` iff every edge ``(u, v)`` of ``G \\ F`` has
+    ``d_{H\\F}(u, v) <= k * w(u, v)``.  This is why the sampled mode draws
+    fault sets of size exactly ``max_faults`` only: an edge that violates
+    under ``F`` still violates under any ``F' ⊇ F`` with ``|F'| <= f`` that
+    spares ``u``, ``v`` and the edge ``(u, v)`` itself, because removing
+    more of ``H`` never shortens a path (``d_{H\\F'} >= d_{H\\F}``) while
+    ``w(u, v)`` stays put.  So a violation found by a small fault set is
+    also found by its full-size supersets that spare the violated edge.
+    The exhaustive mode still enumerates every size, as Definition 2
+    quantifies over ``|F| <= f``.  Both graphs must be :class:`Graph`
+    instances (views raise ``TypeError``).
     """
     if stretch < 1:
         raise ValueError("stretch must be at least 1")
