@@ -21,17 +21,20 @@ invariant with bounded work:
   :func:`repro.dynamic.repair.dirty_candidates` bounds that set soundly with
   two SSSP runs; the dirty candidates are re-swept in greedy order
   (increasing weight), re-admitting exactly the ones the oracle now breaks.
-  With ``spec.workers > 1`` the sweep's fault checks shard through
-  :mod:`repro.runtime` as one speculative batch against the frozen ``H`` —
-  monotone-safe rejects, version-guarded accepts — so the repaired spanner
-  and its witnesses are **byte-identical** to the serial sweep (the same
-  argument, and the same worker entry point, as the parallel FT-greedy
-  build).
 * **delete / weight-increase of a rejected edge, weight-decrease of a
   spanner edge** — provably free: the touched condition disappears or
   every surviving condition only slackens.
 * **weight-decrease of a rejected edge** — its own budget tightened; one
   acceptance test at the new weight decides re-admission.
+* **same-weight reweight** — a no-op for ``H``: nothing is touched.
+
+Every acceptance test — a single new or lighter edge, or a repair's dirty
+candidates — runs through the build's own loop,
+:func:`repro.spanners.ft_greedy.acceptance_sweep`.  With ``spec.workers > 1``
+a repair region of at least a first batch's size shards its fault checks
+through :mod:`repro.runtime` in speculative batches (monotone-safe rejects,
+version-guarded accepts), so the repaired spanner and its witnesses are
+**byte-identical** to the serial sweep.
 
 The maintained spanner carries the same ``k``/``f`` guarantee as a fresh
 build at every step, but its *size* may exceed the from-scratch greedy's:
@@ -69,24 +72,18 @@ from repro.dynamic.updates import (
     WeightChange,
 )
 from repro.faults.models import FaultSet, get_fault_model
-from repro.graph.core import Graph, edge_key
+from repro.graph.core import Graph
 from repro.graph.csr import csr_snapshot
-from repro.obs.metrics import SIZE_BUCKETS, component_registry, get_registry
+from repro.obs.metrics import SIZE_BUCKETS, component_registry
 from repro.obs.trace import get_tracer
-from repro.paths.registry import get_kernels
-from repro.runtime.backend import ExecutionBackend, get_backend
+from repro.runtime.backend import get_backend
 from repro.runtime.merge import merge_counters
-from repro.runtime.shard import split_sequence
 from repro.spanners.base import SpannerResult
 from repro.spanners.fault_check import get_oracle
-from repro.spanners.ft_greedy import _ft_check_chunk, _FTCheckContext
+from repro.spanners.ft_greedy import acceptance_sweep
 from repro.utils.logging import get_logger
 
 _LOGGER = get_logger("dynamic.maintain")
-
-#: Sweeps smaller than this stay serial even when workers are configured —
-#: a process-pool dispatch costs more than a handful of oracle calls.
-_PARALLEL_SWEEP_MIN = 8
 
 
 @dataclass(frozen=True)
@@ -165,6 +162,7 @@ class DynamicSpanner:
                 "evidence the maintained invariant holds")
         self.stretch = spec.stretch
         self.max_faults = spec.max_faults
+        self._backend = get_backend(spec.backend, spec.workers)
         if result is None:
             from repro.build import build
             result = build(graph, spec)
@@ -279,12 +277,22 @@ class DynamicSpanner:
             algorithm=snapshot.algorithm or spec.algorithm)
         return cls(snapshot.original, spec, result=result)
 
-    # -------------------------------------------------------------- the oracle
-    def _accept(self, u, v, weight: float) -> Optional[FaultSet]:
-        """The paper's acceptance test for one candidate edge against live H."""
-        return self.oracle.find_breaking_fault_set(
-            self.spanner, u, v, self.stretch * weight, self.max_faults,
-            self.model)
+    # ------------------------------------------------------------ the sweep
+    def _sweep(self, candidates: Tuple[Candidate, ...]) -> Tuple[Candidate, ...]:
+        """Algorithm 1's acceptance loop over ``candidates`` against live H."""
+        sweep = acceptance_sweep(
+            self.spanner, candidates, self.oracle, self.model, self.stretch,
+            self.max_faults, self._backend, witnesses=self.witnesses)
+        merge_counters(self._worker_counters, sweep.worker_counters)
+        return tuple(sweep.added)
+
+    def _admit(self, u, v, weight: float):
+        """One acceptance test; the outcome tuple :meth:`apply` expects."""
+        if self._sweep(((u, v, weight),)):
+            self._incremental_accepts.inc()
+            return True, None, (), True
+        self._incremental_rejects.inc()
+        return False, None, (), False
 
     # ----------------------------------------------------------------- updates
     def apply(self, update: UpdateOp) -> UpdateOutcome:
@@ -330,14 +338,7 @@ class DynamicSpanner:
         # The spanner spans every node of G; new endpoints enter H edgeless.
         self.spanner.add_node(update.u)
         self.spanner.add_node(update.v)
-        fault_set = self._accept(update.u, update.v, update.weight)
-        if fault_set is not None:
-            self.spanner.add_edge(update.u, update.v, update.weight)
-            self.witnesses[update.edge] = fault_set
-            self._incremental_accepts.inc()
-            return True, None, (), True
-        self._incremental_rejects.inc()
-        return False, None, (), False
+        return self._admit(update.u, update.v, update.weight)
 
     def _apply_delete(self, update: EdgeDelete):
         in_spanner = self.spanner.has_edge(update.u, update.v)
@@ -371,6 +372,9 @@ class DynamicSpanner:
                 f"reweight of missing edge {update.edge!r}; use EdgeInsert")
         old_weight = self.graph.weight(update.u, update.v)
         new_weight = float(update.weight)
+        if new_weight == old_weight:
+            # Nothing moves: G's budgets and H's distances are as they were.
+            return None, None, (), False
         in_spanner = self.spanner.has_edge(update.u, update.v)
         if in_spanner and new_weight > old_weight:
             candidates, pool = dirty_candidates(
@@ -382,7 +386,7 @@ class DynamicSpanner:
             # H mirrors G's weights (H is a subgraph *with matching
             # weights*); an overwrite keeps the edge in both.
             self.spanner.add_edge(update.u, update.v, new_weight)
-            if new_weight <= old_weight:
+            if new_weight < old_weight:
                 # Distances in H only shrink: every rejected-edge condition
                 # stays satisfied. Provably free.
                 return None, None, (), True
@@ -395,14 +399,7 @@ class DynamicSpanner:
         if new_weight < old_weight:
             # A rejected edge got cheaper: its own budget k*w tightened, so
             # re-run its acceptance test; everything else is untouched.
-            fault_set = self._accept(update.u, update.v, new_weight)
-            if fault_set is not None:
-                self.spanner.add_edge(update.u, update.v, new_weight)
-                self.witnesses[update.edge] = fault_set
-                self._incremental_accepts.inc()
-                return True, None, (), True
-            self._incremental_rejects.inc()
-            return False, None, (), False
+            return self._admit(update.u, update.v, new_weight)
         # A rejected edge got heavier: its budget grew, H is unchanged.
         return None, None, (), False
 
@@ -418,73 +415,13 @@ class DynamicSpanner:
             self._repair_seconds.observe(0.0)
             return ()
         started = time.perf_counter()
-        backend = get_backend(self.spec.backend, self.spec.workers)
-        if backend.workers > 1 and len(region.candidates) >= _PARALLEL_SWEEP_MIN:
-            added = self._sweep_parallel(region.candidates, backend)
-        else:
-            added = self._sweep_serial(region.candidates)
+        added = self._sweep(region.candidates)
         self._repair_seconds.observe(time.perf_counter() - started)
         self._repair_edges_added.inc(len(added))
         if added:
             _LOGGER.debug("repair after %s %s: %d/%d dirty candidates re-admitted",
                           region.reason, region.trigger, len(added),
                           len(region.candidates))
-        return tuple(added)
-
-    def _sweep_serial(self, candidates: Tuple[Candidate, ...]) -> List[Candidate]:
-        added: List[Candidate] = []
-        for u, v, w in candidates:
-            fault_set = self._accept(u, v, w)
-            if fault_set is not None:
-                self.spanner.add_edge(u, v, w)
-                self.witnesses[edge_key(u, v)] = fault_set
-                added.append((u, v, w))
-        return added
-
-    def _sweep_parallel(self, candidates: Tuple[Candidate, ...],
-                        backend: ExecutionBackend) -> List[Candidate]:
-        """One speculative batch against the frozen H — byte-identical to serial.
-
-        The correctness argument is the parallel FT-greedy build's, and so
-        is the worker entry point (:func:`repro.spanners.ft_greedy._ft_check_chunk`):
-        rejects against the batch-start ``H`` are monotone-safe, accepts are
-        trusted only while ``H`` is unchanged and replayed serially
-        otherwise.  Dirty regions are small, so a single batch (no geometric
-        growth) covers them.
-        """
-        ship_elements = self.oracle.name == "exhaustive"
-        h_version = self.spanner.version
-        context = _FTCheckContext(
-            csr=csr_snapshot(self.spanner), fault_model=self.model.name,
-            oracle=self.oracle.name, max_faults=self.max_faults,
-            kernel=get_kernels(self.spec.kernel).name,
-            nodes=(tuple(self.spanner.nodes())
-                   if ship_elements and self.model.uses_vertex_mask else None),
-            edges=(tuple(self.spanner.edge_keys())
-                   if ship_elements and not self.model.uses_vertex_mask else None),
-        )
-        tasks = [(u, v, self.stretch * w) for u, v, w in candidates]
-        speculative: List[Optional[FaultSet]] = []
-        registry = get_registry()
-        for chunk_found, counters in backend.map(
-                _ft_check_chunk, split_sequence(tasks, backend.workers),
-                context=context, metrics=registry):
-            speculative.extend(chunk_found)
-            # Same two-target fold as the parallel builder: local tally for
-            # stats(), process registry for the exported oracle totals.
-            merge_counters(self._worker_counters, counters)
-            registry.merge_counters(counters)
-        added: List[Candidate] = []
-        for (u, v, w), fault_set in zip(candidates, speculative):
-            if fault_set is None:
-                continue  # monotone-safe: serial would reject too
-            if self.spanner.version != h_version:
-                fault_set = self._accept(u, v, w)
-                if fault_set is None:
-                    continue
-            self.spanner.add_edge(u, v, w)
-            self.witnesses[edge_key(u, v)] = fault_set
-            added.append((u, v, w))
         return added
 
     # ----------------------------------------------------------- certification

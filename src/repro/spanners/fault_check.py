@@ -100,7 +100,7 @@ class OracleStats:
         # "fallthrough" handed to the exact search) and fallthroughs also
         # count one exact check, so accept+reject+fallthrough == queries and
         # exact == fallthrough reconcile per build — including parallel
-        # builds, where the workers ship these as flat labeled counters.
+        # sweeps, where the workers ship these as flat labeled counters.
         self._screen = self.metrics.counter(
             "oracle.screen", "tiered-oracle screen decisions, by outcome")
         self._screen_children: Dict[str, object] = {}
@@ -169,21 +169,29 @@ class OracleStats:
     def count_exact(self) -> None:
         self._exact.inc()
 
+    def screen_outcomes_with(
+            self, extra: Optional[Mapping[str, float]] = None) -> Dict[str, int]:
+        """:attr:`screen_outcomes` plus screen counts collected elsewhere.
+
+        ``extra`` holds the flat ``oracle.screen{outcome="..."}`` counters
+        a speculative sweep's workers shipped home (see
+        :func:`repro.spanners.ft_greedy.acceptance_sweep`).
+        """
+        outcomes = self.screen_outcomes
+        prefix = 'oracle.screen{outcome="'
+        for flat, amount in (extra or {}).items():
+            if flat.startswith(prefix) and flat.endswith('"}') and amount:
+                outcome = flat[len(prefix):-2]
+                outcomes[outcome] = outcomes.get(outcome, 0) + int(amount)
+        return outcomes
+
     def observe_screen_hit_rate(
             self, extra: Optional[Mapping[str, float]] = None) -> Optional[float]:
         """Record this build's screen hit rate; returns the rate (or ``None``).
 
-        ``extra`` optionally folds in screen counts a parallel driver
-        collected from its workers (the flat ``oracle.screen{outcome="..."}``
-        keys shipped by :func:`repro.spanners.ft_greedy._ft_check_chunk`).
+        ``extra`` is folded in as in :meth:`screen_outcomes_with`.
         """
-        outcomes = {outcome: child.value
-                    for outcome, child in self._screen_children.items()}
-        if extra:
-            for flat, amount in extra.items():
-                if flat.startswith('oracle.screen{outcome="') and flat.endswith('"}'):
-                    outcome = flat[len('oracle.screen{outcome="'):-2]
-                    outcomes[outcome] = outcomes.get(outcome, 0) + amount
+        outcomes = self.screen_outcomes_with(extra)
         total = sum(outcomes.values())
         if not total:
             return None
@@ -272,8 +280,9 @@ class FaultCheckOracle(ABC):
         """:meth:`find_breaking_fault_set` on a compiled snapshot.
 
         Operates directly on the snapshot, so the check can run in a worker
-        process that only received the (picklable) CSR — this is what the
-        parallel FT-greedy build ships through :mod:`repro.runtime`.
+        process that only received the (picklable) CSR — this is what a
+        speculative :func:`repro.spanners.ft_greedy.acceptance_sweep` (a
+        parallel build or repair) ships through :mod:`repro.runtime`.
         ``candidates`` optionally pins the enumeration order of the
         faultable elements (only the exhaustive oracle consults it).
         """

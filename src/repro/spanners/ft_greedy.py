@@ -22,38 +22,46 @@ which lands back in :func:`_ft_greedy` below — byte-identical spanners,
 witnesses, and counters either way.  Prefer constructing through
 ``build(graph, BuildSpec("ft-greedy", ...))`` in new code.
 
-Parallel construction
----------------------
-With ``workers > 1`` the per-edge fault checks shard through
-:mod:`repro.runtime` using *speculative batches*: a batch of upcoming edges
-is checked in parallel against the spanner ``H`` frozen at batch start, then
+One acceptance sweep
+--------------------
+:func:`acceptance_sweep` is the loop above, over any weight-ordered
+candidate list and a *live* ``H``: builds sweep every edge of ``G`` from an
+empty ``H``, and :class:`~repro.dynamic.DynamicSpanner` sweeps a single new
+(or lighter) edge, or the dirty candidates of a repair, against the
+maintained one.  It runs serially with one worker or fewer than
+:data:`_BATCH_MIN` candidates.  Otherwise the fault checks shard through
+:mod:`repro.runtime` in *speculative batches*: a batch of upcoming
+candidates is checked in parallel against ``H`` frozen at batch start, then
 replayed serially in weight order.  Batches grow geometrically
 (:data:`_BATCH_GROWTH`), so the pool is dispatched only ``O(log m)`` times:
 the accept-dense light-edge prefix is covered by small batches (few wasted
 re-checks), while the reject-dominated tail — where parallel checking
-actually pays — runs in a handful of large ones.  Rejections are safe to trust because the
-check is monotone — ``H`` only gains edges, so distances only shrink, and a
-pair no fault set could break against the smaller ``H`` cannot be broken
-against any larger one.  Speculative *accepts* are trusted only while ``H``
-is unchanged since batch start (then the worker's answer is exactly the
-serial answer); once an earlier edge of the batch was added, later accepts
-are re-checked in process against the current ``H``.  The spanner and the
-witness fault sets are therefore **byte-identical** to the serial run —
-property-tested in ``tests/test_build.py`` — while the work counters report
-the actual (speculative) work performed.  This requires an *exact* oracle:
-the heuristic path-packing oracle may answer ``None`` for reasons that do
-not transfer between snapshots of ``H``, so it is rejected up front.
+actually pays — runs in a handful of large ones.  Rejections are safe to
+trust because the check is monotone — ``H`` only gains edges during a
+sweep, so distances only shrink, and a pair no fault set could break
+against the smaller ``H`` cannot be broken against any larger one.
+Speculative *accepts* are trusted only while ``H`` is unchanged since batch
+start (then the worker's answer is exactly the serial answer); once an
+earlier candidate of the batch was added, later accepts are re-checked in
+process against the current ``H``.  The spanner, the witness fault sets and
+the edge insertion order are therefore **byte-identical** to the serial
+sweep — property-tested in ``tests/test_build.py`` and
+``tests/test_dynamic.py`` — while the work counters report the actual
+(speculative) work performed.  This requires an *exact* oracle: the
+heuristic path-packing oracle may answer ``None`` for reasons that do not
+transfer between snapshots of ``H``, so parallel builds reject it up front.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from contextlib import nullcontext
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.faults.models import FaultModel, FaultSet, get_fault_model
 from repro.graph.core import Graph, Node, edge_key
 from repro.graph.csr import CSRGraph, csr_snapshot
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import Counter, get_registry
 from repro.obs.trace import get_tracer
 from repro.runtime.backend import BackendLike, ExecutionBackend, get_backend
 from repro.runtime.merge import merge_counters
@@ -68,25 +76,13 @@ _LOGGER = get_logger("spanners.ft_greedy")
 
 #: Edges speculatively checked in the first parallel round, per worker.
 _BATCH_EDGES_PER_WORKER = 4
-#: ... but never fewer than this many per round (amortises pool dispatch).
+#: ... but never fewer than this many per round (amortises pool dispatch);
+#: shorter candidate lists are swept serially whatever the worker count.
 _BATCH_MIN = 16
 #: Batches double in size each round (the accept-dense light-edge prefix
 #: gets fine granularity, the reject-dominated tail gets huge batches), so
 #: the number of pool dispatches is O(log m) rather than O(m / batch).
 _BATCH_GROWTH = 2
-
-# Build-outcome counters on the process registry (``repro-spanner stats``):
-# accept/reject tallies cover serial and parallel drivers alike, the
-# speculative pair only moves under ``workers > 1``.
-_ACCEPTS = get_registry().counter(
-    "build.oracle_accepts", "greedy decisions that kept the edge")
-_REJECTS = get_registry().counter(
-    "build.oracle_rejects", "greedy decisions that dropped the edge")
-_SPECULATIVE_BATCHES = get_registry().counter(
-    "build.speculative_batches", "parallel speculative batches dispatched")
-_SPECULATIVE_RECHECKS = get_registry().counter(
-    "build.speculative_rechecks",
-    "stale speculative accepts replayed in process")
 
 
 def ft_greedy_spanner(graph: Graph, stretch: float, max_faults: int,
@@ -191,17 +187,9 @@ def _ft_greedy(graph: Graph, stretch: float, max_faults: int,
     model = get_fault_model(fault_model)
     checker = get_oracle(oracle, kernel)
     checker.stats.reset()
-
-    resolved: Optional[ExecutionBackend] = None
-    if workers > 1 or backend == "process" or isinstance(backend, ExecutionBackend):
-        resolved = get_backend(backend, workers)
-    if resolved is not None and resolved.workers > 1:
-        return _ft_greedy_parallel(graph, stretch, max_faults, model, checker,
-                                   resolved, kernel=kernel,
-                                   record_witnesses=record_witnesses,
-                                   progress_every=progress_every,
-                                   on_progress=on_progress,
-                                   should_cancel=should_cancel)
+    resolved = get_backend(backend, workers)
+    if resolved.workers > 1:
+        _require_shippable(checker)
 
     spanner = graph.spanning_subgraph()
     # Compile H's CSR snapshot up front: Graph.add_edge keeps it in sync as
@@ -209,45 +197,54 @@ def _ft_greedy(graph: Graph, stretch: float, max_faults: int,
     # while H grows (thousands of bounded Dijkstra queries per insertion).
     csr_snapshot(spanner)
     witnesses = {}
-    timer = Timer("ft-greedy").start()
-    considered = 0
     edge_list = sorted_edges(graph)
-    for u, v, w in edge_list:
+    total = len(edge_list)
+    every = progress_every or 64
+    previous = 0
+
+    def step(considered: int) -> None:
+        nonlocal previous
         if should_cancel is not None and should_cancel():
             from repro.build.spec import BuildCancelled
             raise BuildCancelled("ft-greedy build cancelled")
-        considered += 1
-        budget = stretch * w
-        fault_set = checker.find_breaking_fault_set(
-            spanner, u, v, budget, max_faults, model
-        )
-        if fault_set is not None:
-            _ACCEPTS.inc()
-            spanner.add_edge(u, v, w)
-            if record_witnesses:
-                witnesses[edge_key(u, v)] = fault_set
-        else:
-            _REJECTS.inc()
-        if progress_every and considered % progress_every == 0:
-            _LOGGER.info(
-                "ft-greedy: %d/%d edges considered, %d kept",
-                considered, len(edge_list), spanner.number_of_edges(),
-            )
-        if (on_progress is not None
-                and considered % (progress_every or 64) == 0):
-            on_progress("ft-greedy", considered, len(edge_list))
+        if considered // every != previous // every:
+            if progress_every:
+                _LOGGER.info("ft-greedy: %d/%d edges considered, %d kept",
+                             considered, total, spanner.number_of_edges())
+            if on_progress is not None:
+                on_progress("ft-greedy", considered, total)
+        previous = considered
+
+    timer = Timer("ft-greedy").start()
+    sweep = acceptance_sweep(
+        spanner, edge_list, checker, model, stretch, max_faults, resolved,
+        witnesses=witnesses if record_witnesses else None,
+        metrics=_BUILD_METRICS, on_step=step)
     timer.stop()
+    if on_progress is not None:
+        on_progress("ft-greedy", total, total)
 
     parameters = {"oracle": checker.name, "oracle_exact": checker.exact}
-    hit_rate = checker.stats.observe_screen_hit_rate()
+    if resolved.workers > 1:
+        parameters.update(workers=resolved.workers, backend=resolved.name,
+                          speculative_batches=sweep.batches,
+                          speculative_rechecks=sweep.rechecks)
+    # Screen outcomes from workers arrive as flat labeled counters; fold
+    # them into the in-process tally before computing the build's rate.
+    hit_rate = checker.stats.observe_screen_hit_rate(extra=sweep.worker_counters)
     if hit_rate is not None:
         parameters["screen_hit_rate"] = hit_rate
-        parameters["screen_outcomes"] = checker.stats.screen_outcomes
-    oracle_queries = checker.stats.queries
-    distance_queries = checker.stats.distance_queries
+        parameters["screen_outcomes"] = checker.stats.screen_outcomes_with(
+            sweep.worker_counters)
+    oracle_queries = (checker.stats.queries
+                      + int(sweep.worker_counters.get("oracle.queries", 0)))
+    distance_queries = (checker.stats.distance_queries
+                        + int(sweep.worker_counters.get(
+                            "oracle.distance_queries", 0)))
     # Flush the oracle's counters to the process registry: the checker (and
     # its weakly-attached component registry) may die with this frame, and
     # a --metrics-json snapshot must still see the build's oracle.* family.
+    # (Worker deltas were already merged there as they arrived.)
     checker.stats.publish()
     return SpannerResult(
         spanner=spanner,
@@ -257,8 +254,10 @@ def _ft_greedy(graph: Graph, stretch: float, max_faults: int,
         fault_model=model.name,
         algorithm=f"ft-greedy[{checker.name}]",
         witness_fault_sets=witnesses,
-        edges_considered=considered,
+        edges_considered=sweep.considered,
         edges_added=spanner.number_of_edges(),
+        # Counters report actual (speculative + recheck) work; unlike the
+        # spanner and witnesses they are *not* byte-identical to serial.
         oracle_queries=oracle_queries,
         distance_queries=distance_queries,
         construction_seconds=timer.elapsed,
@@ -267,8 +266,57 @@ def _ft_greedy(graph: Graph, stretch: float, max_faults: int,
 
 
 # --------------------------------------------------------------------------
-# Parallel (speculative-batch) driver
+# The acceptance sweep (serial, or speculative batches over a worker pool)
 # --------------------------------------------------------------------------
+
+#: One weight-ordered candidate edge ``(u, v, w)``.
+Candidate = Tuple[Node, Node, float]
+
+
+@dataclass(frozen=True)
+class SweepMetrics:
+    """Process-registry instruments a sweep moves as it decides."""
+
+    accepts: Counter
+    rejects: Counter
+    batches: Counter
+    rechecks: Counter
+    #: Tracer span wrapping each speculative batch.
+    batch_span: str
+
+
+# Build-outcome counters on the process registry (``repro-spanner stats``):
+# accept/reject tallies cover serial and parallel builds alike, the
+# speculative pair only moves under ``workers > 1``.  Maintenance sweeps
+# pass no instruments, so these move only for builds.
+_BUILD_METRICS = SweepMetrics(
+    accepts=get_registry().counter(
+        "build.oracle_accepts", "greedy decisions that kept the edge"),
+    rejects=get_registry().counter(
+        "build.oracle_rejects", "greedy decisions that dropped the edge"),
+    batches=get_registry().counter(
+        "build.speculative_batches", "parallel speculative batches dispatched"),
+    rechecks=get_registry().counter(
+        "build.speculative_rechecks",
+        "stale speculative accepts replayed in process"),
+    batch_span="build.speculative_batch",
+)
+
+
+@dataclass
+class Sweep:
+    """What one :func:`acceptance_sweep` did."""
+
+    #: Accepted candidates, in acceptance (= weight) order.
+    added: List[Candidate] = field(default_factory=list)
+    considered: int = 0
+    #: Speculative batches dispatched (0 on the serial path).
+    batches: int = 0
+    #: Stale speculative accepts re-checked in process.
+    rechecks: int = 0
+    #: Oracle counters shipped home by the workers (flat registry keys).
+    worker_counters: Dict[str, float] = field(default_factory=dict)
+
 
 @dataclass(frozen=True)
 class _FTCheckContext:
@@ -278,13 +326,13 @@ class _FTCheckContext:
     fault_model: str
     oracle: str
     max_faults: int
-    kernel: "str | None" = None
-    #: Candidate universes in :meth:`Graph.nodes` / :meth:`Graph.edges`
-    #: order — only the exhaustive oracle enumerates them, but pinning the
-    #: order here is what keeps its tie-broken witnesses byte-identical to
-    #: the serial loop's.
-    nodes: Optional[Tuple[Node, ...]] = None
-    edges: Optional[Tuple[Tuple[Node, Node], ...]] = None
+    #: The resolved kernel backend name of the in-process checker.
+    kernel: str
+    #: Faultable elements in :meth:`FaultModel.all_elements` order — only
+    #: the exhaustive oracle enumerates them, but pinning the order here is
+    #: what keeps its tie-broken witnesses byte-identical to the serial
+    #: sweep's.
+    elements: Optional[Tuple] = None
 
 
 def _ft_check_chunk(ctx: _FTCheckContext,
@@ -295,11 +343,10 @@ def _ft_check_chunk(ctx: _FTCheckContext,
     found: List[Optional[FaultSet]] = []
     for source, target, budget in chunk:
         candidates = None
-        if ctx.nodes is not None:
-            candidates = [node for node in ctx.nodes
-                          if node != source and node != target]
-        elif ctx.edges is not None:
-            candidates = list(ctx.edges)
+        if ctx.elements is not None:
+            candidates = ([node for node in ctx.elements
+                           if node != source and node != target]
+                          if model.uses_vertex_mask else list(ctx.elements))
         found.append(checker.find_breaking_fault_set_csr(
             ctx.csr, source, target, budget, ctx.max_faults, model,
             candidates=candidates))
@@ -315,19 +362,8 @@ def _ft_check_chunk(ctx: _FTCheckContext,
     return found, counters
 
 
-def _ft_greedy_parallel(graph: Graph, stretch: float, max_faults: int,
-                        model: FaultModel, checker: FaultCheckOracle,
-                        backend: ExecutionBackend, *,
-                        kernel: "str | None" = None,
-                        record_witnesses: bool,
-                        progress_every: int,
-                        on_progress: Optional[Callable[[str, int, int], None]],
-                        should_cancel: Optional[Callable[[], bool]]) -> SpannerResult:
-    """Speculative-batch FT greedy: byte-identical spanner and witnesses.
-
-    See the module docstring for the correctness argument (monotone rejects,
-    version-guarded accepts).
-    """
+def _require_shippable(checker: FaultCheckOracle) -> None:
+    """Refuse oracles whose speculative answers cannot be trusted in workers."""
     if not checker.exact:
         raise ValueError(
             "parallel ft-greedy requires an exact oracle: the heuristic "
@@ -341,122 +377,105 @@ def _ft_greedy_parallel(graph: Graph, stretch: float, max_faults: int,
             f"in the worker processes; {checker.name!r} is not registered"
         ) from None
 
-    spanner = graph.spanning_subgraph()
-    csr_snapshot(spanner)
-    witnesses = {}
-    timer = Timer("ft-greedy-parallel").start()
-    edge_list = sorted_edges(graph)
-    total = len(edge_list)
-    batch_size = max(_BATCH_MIN, _BATCH_EDGES_PER_WORKER * backend.workers)
-    considered = 0
-    rechecks = 0
-    batches = 0
-    worker_counters: dict = {}
+
+def acceptance_sweep(spanner: Graph, candidates: Sequence[Candidate],
+                     checker: FaultCheckOracle, model: FaultModel,
+                     stretch: float, max_faults: int,
+                     backend: ExecutionBackend, *,
+                     witnesses: Optional[Dict] = None,
+                     metrics: Optional[SweepMetrics] = None,
+                     on_step: Optional[Callable[[int], None]] = None) -> Sweep:
+    """Algorithm 1's loop over ``candidates`` against the live ``spanner``.
+
+    Each candidate ``(u, v, w)``, in the given (weight) order, is added to
+    ``spanner`` iff ``checker`` finds ``|F| <= max_faults`` with
+    ``dist_{H \\ F}(u, v) > stretch * w``; its fault set is recorded in
+    ``witnesses`` (when given) under ``edge_key(u, v)``.  Builds sweep every
+    edge of ``G`` from an empty ``H``; :class:`~repro.dynamic.DynamicSpanner`
+    sweeps single new edges and dirty repair regions.
+
+    With ``backend.workers > 1`` and at least :data:`_BATCH_MIN` candidates
+    the checks run in speculative batches (see the module docstring); the
+    spanner and witnesses are byte-identical to the serial loop.  ``metrics``
+    names the registry instruments to move; ``on_step(considered)`` is
+    polled before each serial candidate and before each batch (it may
+    raise to abort).
+    """
+    sweep = Sweep()
+
+    def decide(u, v, w, fault_set: Optional[FaultSet]) -> None:
+        if fault_set is None:
+            if metrics is not None:
+                metrics.rejects.inc()
+            return
+        if metrics is not None:
+            metrics.accepts.inc()
+        spanner.add_edge(u, v, w)
+        if witnesses is not None:
+            witnesses[edge_key(u, v)] = fault_set
+        sweep.added.append((u, v, w))
+
+    if backend.workers == 1 or len(candidates) < _BATCH_MIN:
+        for u, v, w in candidates:
+            if on_step is not None:
+                on_step(sweep.considered)
+            sweep.considered += 1
+            decide(u, v, w, checker.find_breaking_fault_set(
+                spanner, u, v, stretch * w, max_faults, model))
+        return sweep
+
     registry = get_registry()
     tracer = get_tracer()
     ship_elements = checker.name == "exhaustive"
-
+    batch_size = max(_BATCH_MIN, _BATCH_EDGES_PER_WORKER * backend.workers)
     position = 0
-    while position < total:
-        if should_cancel is not None and should_cancel():
-            from repro.build.spec import BuildCancelled
-            raise BuildCancelled("ft-greedy build cancelled")
-        batch = edge_list[position:position + batch_size]
+    while position < len(candidates):
+        if on_step is not None:
+            on_step(position)
+        batch = candidates[position:position + batch_size]
         position += len(batch)
         batch_size *= _BATCH_GROWTH
-        batches += 1
+        sweep.batches += 1
         h_version = spanner.version
         context = _FTCheckContext(
             csr=csr_snapshot(spanner), fault_model=model.name,
-            oracle=checker.name, max_faults=max_faults, kernel=kernel,
-            nodes=(tuple(spanner.nodes())
-                   if ship_elements and model.uses_vertex_mask else None),
-            edges=(tuple(spanner.edge_keys())
-                   if ship_elements and not model.uses_vertex_mask else None),
-        )
+            oracle=checker.name, max_faults=max_faults,
+            kernel=checker.kernels.name,
+            elements=(tuple(model.all_elements(spanner))
+                      if ship_elements else None))
         tasks = [(u, v, stretch * w) for u, v, w in batch]
-        speculative: List[Optional[FaultSet]] = []
-        _SPECULATIVE_BATCHES.inc()
-        with tracer.span("build.speculative_batch", batch=batches,
-                         edges=len(batch)):
+        if metrics is not None:
+            metrics.batches.inc()
+            span = tracer.span(metrics.batch_span, batch=sweep.batches,
+                               edges=len(batch))
+        else:
+            span = nullcontext()
+        with span:
+            speculative: List[Optional[FaultSet]] = []
             for chunk_found, counters in backend.map(
                     _ft_check_chunk, split_sequence(tasks, backend.workers),
                     context=context, metrics=registry):
                 speculative.extend(chunk_found)
-                # One fold, two targets: the local tally feeding the
-                # SpannerResult counters, and the process registry (the
-                # chunk fn zeroed its own copy, so this is the only path
-                # by which worker oracle counts reach the registry).
-                merge_counters(worker_counters, counters)
+                # One fold, two targets: the sweep's own tally and the
+                # process registry (the chunk fn zeroed its own copy, so
+                # this is the only path by which worker oracle counts reach
+                # the registry).
+                merge_counters(sweep.worker_counters, counters)
                 registry.merge_counters(counters)
-
             for (u, v, w), fault_set in zip(batch, speculative):
-                considered += 1
-                if fault_set is None:
-                    # Monotone-safe: no fault set broke (u, v) against the
-                    # batch-start H, so none can break it against the current,
-                    # denser H either — the serial loop would also reject.
-                    _REJECTS.inc()
-                    continue
-                if spanner.version != h_version:
-                    # H gained an edge earlier in this batch; the speculative
-                    # answer is stale, so replay the serial decision exactly.
-                    rechecks += 1
-                    _SPECULATIVE_RECHECKS.inc()
+                sweep.considered += 1
+                # A reject is monotone-safe: no fault set broke (u, v)
+                # against the batch-start H, so none breaks it against the
+                # current, denser H either.  An accept is the serial answer
+                # only while H is unchanged; once it moved, replay it.
+                if fault_set is not None and spanner.version != h_version:
+                    sweep.rechecks += 1
+                    if metrics is not None:
+                        metrics.rechecks.inc()
                     fault_set = checker.find_breaking_fault_set(
                         spanner, u, v, stretch * w, max_faults, model)
-                    if fault_set is None:
-                        _REJECTS.inc()
-                        continue
-                _ACCEPTS.inc()
-                spanner.add_edge(u, v, w)
-                if record_witnesses:
-                    witnesses[edge_key(u, v)] = fault_set
-        if progress_every and (considered // progress_every
-                               != (considered - len(batch)) // progress_every):
-            _LOGGER.info(
-                "ft-greedy[parallel]: %d/%d edges considered, %d kept",
-                considered, total, spanner.number_of_edges(),
-            )
-        if on_progress is not None:
-            on_progress("ft-greedy", considered, total)
-    timer.stop()
-
-    parameters = {"oracle": checker.name, "oracle_exact": checker.exact,
-                  "workers": backend.workers, "backend": backend.name,
-                  "speculative_batches": batches,
-                  "speculative_rechecks": rechecks}
-    # The screen outcomes from the workers arrived as flat labeled counters;
-    # fold them into the in-process tally before computing the build's rate.
-    hit_rate = checker.stats.observe_screen_hit_rate(extra=worker_counters)
-    if hit_rate is not None:
-        parameters["screen_hit_rate"] = hit_rate
-    oracle_queries = (checker.stats.queries
-                      + int(worker_counters.get("oracle.queries", 0)))
-    distance_queries = (checker.stats.distance_queries
-                        + int(worker_counters.get("oracle.distance_queries", 0)))
-    # The worker deltas were already merged into the process registry as
-    # they arrived; flush the local checker's recheck counts the same way,
-    # so a --metrics-json snapshot sees the whole build's oracle.* family
-    # even after the checker dies with this frame.
-    checker.stats.publish()
-    return SpannerResult(
-        spanner=spanner,
-        original=graph,
-        stretch=stretch,
-        max_faults=max_faults,
-        fault_model=model.name,
-        algorithm=f"ft-greedy[{checker.name}]",
-        witness_fault_sets=witnesses,
-        edges_considered=considered,
-        edges_added=spanner.number_of_edges(),
-        # Counters report actual (speculative + recheck) work; unlike the
-        # spanner and witnesses they are *not* byte-identical to serial.
-        oracle_queries=oracle_queries,
-        distance_queries=distance_queries,
-        construction_seconds=timer.elapsed,
-        parameters=parameters,
-    )
+                decide(u, v, w, fault_set)
+    return sweep
 
 
 def vft_greedy_spanner(graph: Graph, stretch: float, max_faults: int,

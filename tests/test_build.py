@@ -267,11 +267,15 @@ class TestParallelFtGreedy:
         serial = ft_greedy_spanner(graph, 3.0, 1, fault_model=fault_model)
         parallel = ft_greedy_spanner(graph, 3.0, 1, fault_model=fault_model,
                                      workers=2, backend="process")
-        assert (sorted(serial.spanner.edges(), key=repr)
-                == sorted(parallel.spanner.edges(), key=repr))
+        # Insertion order too, not just the edge set.
+        assert list(serial.spanner.edges()) == list(parallel.spanner.edges())
         assert serial.witness_fault_sets == parallel.witness_fault_sets
         assert parallel.parameters["workers"] == 2
         assert parallel.parameters["backend"] == "process"
+        # The version-guarded branch ran: a stale speculative accept was
+        # re-checked in process, and the result is still byte-identical.
+        assert parallel.parameters["speculative_rechecks"] >= 1
+        assert "workers" not in serial.parameters
 
     @pytest.mark.parametrize("fault_model", ["vertex", "edge"])
     def test_serial_equals_parallel_exhaustive_oracle(self, fault_model):
@@ -284,9 +288,19 @@ class TestParallelFtGreedy:
         parallel = ft_greedy_spanner(graph, 3.0, 1, fault_model=fault_model,
                                      oracle="exhaustive", workers=2,
                                      backend="process")
-        assert (sorted(serial.spanner.edges(), key=repr)
-                == sorted(parallel.spanner.edges(), key=repr))
+        assert list(serial.spanner.edges()) == list(parallel.spanner.edges())
         assert serial.witness_fault_sets == parallel.witness_fault_sets
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_progress_reports_completion(self, workers):
+        # 40 edges: not a multiple of the 64-edge default progress period.
+        graph = _graph(3, n=16, m=40)
+        events = []
+        ft_greedy_spanner(graph, 3.0, 1, workers=workers, backend="process",
+                          on_progress=lambda *event: events.append(event))
+        assert events[-1] == ("ft-greedy", 40, 40)
+        done = [event[1] for event in events]
+        assert done == sorted(done) and len(done) == len(set(done))
 
     def test_heuristic_oracle_refused_in_parallel(self):
         graph = _graph(0, n=10, m=18)
@@ -299,8 +313,7 @@ class TestParallelFtGreedy:
         plain = greedy_spanner(graph, 3.0)
         parallel = ft_greedy_spanner(graph, 3.0, 0, workers=2,
                                      backend="process")
-        assert (sorted(plain.spanner.edges(), key=repr)
-                == sorted(parallel.spanner.edges(), key=repr))
+        assert list(plain.spanner.edges()) == list(parallel.spanner.edges())
 
 
 # ---------------------------------------------------------------------------

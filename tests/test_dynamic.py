@@ -44,8 +44,12 @@ from repro.dynamic import (
 from repro.engine.workload import Query, update_churn
 from repro.graph import generators
 from repro.graph.core import Graph
+from repro.graph.csr import csr_snapshot
 from repro.graph.views import graph_minus
+from repro.obs.metrics import get_registry
 from repro.paths.dijkstra import dijkstra_distances
+from repro.runtime.backend import SerialBackend
+from repro.spanners.ft_greedy import acceptance_sweep
 from repro.spanners.verify import is_ft_spanner
 
 SETTINGS = settings(max_examples=15, deadline=None,
@@ -183,7 +187,10 @@ class TestDirtyRegion:
             unfiltered.spanner.remove_edge(u, v)
             everything = all_rejected_candidates(unfiltered.graph,
                                                  unfiltered.spanner)
-            readded_full = unfiltered._sweep_serial(everything)
+            readded_full = acceptance_sweep(
+                unfiltered.spanner, everything, unfiltered.oracle,
+                unfiltered.model, spec.stretch, spec.max_faults,
+                SerialBackend(), witnesses=unfiltered.witnesses).added
             outcome = filtered.apply(EdgeDelete(u, v))
             assert filtered.spanner.same_structure(unfiltered.spanner), (
                 f"dirty filter changed the repair outcome for {(u, v)}")
@@ -260,6 +267,22 @@ class TestDynamicSpanner:
         assert outcome.region is None and not outcome.spanner_changed
         assert dyn.spanner.version == spanner_version
         assert dyn.repairs == 0
+
+    def test_same_weight_reweight_leaves_spanner_untouched(self):
+        graph = generators.gnm(14, 40, rng=6, connected=True, weighted=True)
+        live = LiveEngine(DynamicSpanner(graph, _spec()))
+        dyn = live.dynamic
+        u, v = next(iter(sorted(dyn.spanner.edge_keys(), key=repr)))
+        nodes = list(graph.nodes())
+        live.distances_batch([(nodes[0], t, ()) for t in nodes[1:4]])
+        spanner_version = dyn.spanner.version
+        snapshot = csr_snapshot(dyn.spanner)
+        outcome = live.apply(WeightChange(u, v, dyn.spanner.weight(u, v)))
+        assert not outcome.spanner_changed and outcome.region is None
+        assert dyn.spanner.version == spanner_version
+        assert csr_snapshot(dyn.spanner) is snapshot
+        assert live.cache_invalidations == 0
+        assert len(live.engine.cache) == 1
 
     def test_reweight_cases(self):
         graph = generators.gnm(14, 40, rng=6, connected=True, weighted=True)
@@ -355,18 +378,41 @@ class TestDynamicSpanner:
 
 class TestShardedMaintenance:
     @pytest.mark.parametrize("fault_model", ["vertex", "edge"])
-    def test_sharded_repair_is_byte_identical_to_serial(self, fault_model):
-        graph = generators.gnm(20, 64, rng=10, connected=True, weighted=True)
-        journal = random_journal(graph, 30, rng=17)
-        serial = DynamicSpanner(graph.copy(), _spec(fault_model=fault_model))
-        serial.apply_journal(journal)
-        sharded = DynamicSpanner(
-            graph.copy(),
-            _spec(fault_model=fault_model, workers=2, backend="process"))
-        sharded.apply_journal(journal)
-        assert sharded.spanner.same_structure(serial.spanner)
-        assert list(sharded.spanner.edges()) == list(serial.spanner.edges())
-        assert sharded.witnesses == serial.witnesses
+    def test_sharded_repair_is_byte_identical_to_serial(self, fault_model,
+                                                        monkeypatch):
+        # Record every sweep the sharded maintainer runs.
+        sweeps = []
+
+        def recording_sweep(*args, **kwargs):
+            sweeps.append(acceptance_sweep(*args, **kwargs))
+            return sweeps[-1]
+
+        monkeypatch.setattr("repro.dynamic.maintain.acceptance_sweep",
+                            recording_sweep)
+        # The exhaustive oracle also exercises the shipped-elements path.
+        for oracle in (None, "exhaustive"):
+            graph = generators.gnm(20, 64, rng=10, connected=True,
+                                   weighted=True)
+            journal = random_journal(graph, 30, rng=17)
+            spec = _spec(fault_model=fault_model, oracle=oracle)
+            serial = DynamicSpanner(graph.copy(), spec)
+            serial.apply_journal(journal)
+            sweeps.clear()
+            sharded = DynamicSpanner(
+                graph.copy(), spec.replace(workers=2, backend="process"))
+            before = get_registry().counters(include_sources=True)
+            sharded.apply_journal(journal)
+            moved = get_registry().counters_delta(before, include_sources=True)
+            # Maintenance moves dynamic.* counters, never the build.* family.
+            assert moved.get("dynamic.repairs", 0) > 0
+            assert not [name for name in moved if name.startswith("build.")]
+            assert sharded.spanner.same_structure(serial.spanner)
+            assert (list(sharded.spanner.edges())
+                    == list(serial.spanner.edges()))
+            assert sharded.witnesses == serial.witnesses
+            # Repairs went speculative, and one re-checked a stale accept.
+            assert any(sweep.batches for sweep in sweeps)
+            assert any(sweep.rechecks for sweep in sweeps)
         # Worker-side oracle work is folded into the counters: a sharded run
         # reports at least the serial work (speculation can only add).
         assert (sharded.stats()["oracle_queries"]
