@@ -10,8 +10,11 @@ The ``csr-vs-dict`` group pits the CSR kernels (:mod:`repro.paths.kernels`,
 fault masks) against the dict-based reference path (``ExclusionView`` + the
 view fallback in :mod:`repro.paths.dijkstra`) on bounded Dijkstra queries
 under vertex fault masks — the exact shape of the fault-check oracle's inner
-loop.  Running this file as a script records the comparison (and the measured
-speedup) in ``BENCH_kernels.json`` at the repository root::
+loop.  The ``decision_queries`` case times the tiered oracle's yes/no
+distance question on an FT spanner, forward kernel against the
+bidirectional one (verdicts asserted identical, band fallbacks counted).
+Running this file as a script records the comparisons (and the measured
+speedups) in ``BENCH_kernels.json`` at the repository root::
 
     PYTHONPATH=src python benchmarks/bench_kernels.py
 """
@@ -264,6 +267,80 @@ def test_sssp_backend(benchmark, backend):
 
 
 # ---------------------------------------------------------------------------
+# Decision queries: forward vs bidirectional on an FT spanner
+# ---------------------------------------------------------------------------
+
+def _decision_case(n: int = 320, m: int = 1600, stretch: int = 5,
+                   max_faults: int = 2, seed: int = 7):
+    """The tiered oracle's decision shape: ``d_{H \\ F}(u, v) > k·w(u, v)``?
+
+    ``H`` is the ft-greedy spanner of a weighted ``G(n, m)``; every edge of
+    ``G`` is one query under a random vertex mask of up to ``max_faults``
+    faults that spares its endpoints.  ``H`` keeps every such pair within
+    ``k·w`` by construction, so budgets are drawn from ``[1, k]·w`` to get
+    both verdicts, many of them near the budget.
+    """
+    import random
+
+    graph = generators.gnm(n, m, rng=seed, connected=True, weighted=True)
+    spanner = ft_greedy_spanner(graph, stretch, max_faults, "vertex").spanner
+    csr = csr_snapshot(spanner)
+    rng = random.Random(seed)
+    queries = []
+    for u, v, w in graph.edges():
+        s, t = csr.index_of[u], csr.index_of[v]
+        mask = bytearray(csr.num_nodes)
+        for node in rng.sample([i for i in range(csr.num_nodes)
+                                if i != s and i != t],
+                              rng.randint(0, max_faults)):
+            mask[node] = 1
+        queries.append((s, t, rng.uniform(1, stretch) * w, mask))
+    return csr, queries
+
+
+def record_decision_queries() -> dict:
+    """Time forward vs bidirectional decision queries; verdicts must agree.
+
+    The bidirectional side goes through ``TieredOracle._exceeds`` — the
+    kernel plus the band re-asks that make its verdict the forward one — so
+    its time includes every band fallback, whose count is recorded too.
+    """
+    from repro.paths.registry import get_kernels
+    from repro.spanners.fault_check import TieredOracle
+
+    csr, queries = _decision_case()
+    loop = get_kernels("loop")
+    oracle = TieredOracle(kernel="loop")
+
+    def forward():
+        return [bounded_dijkstra_csr(csr, s, t, budget, mask) > budget
+                for s, t, budget, mask in queries]
+
+    def bidirectional():
+        return [oracle._exceeds(loop, csr, s, t, budget, mask, None)[0]
+                for s, t, budget, mask in queries]
+
+    verdicts = forward()
+    assert bidirectional() == verdicts, "decision verdicts diverged"
+    band_fallbacks = oracle.stats.band_fallbacks
+    forward_s = best_of(forward, repeats=3)
+    bidirectional_s = best_of(bidirectional, repeats=3)
+    return {
+        "benchmark": "d_{H\\F}(u,v) > c*w(u,v), c in [1,k], on an "
+                     "ft-greedy spanner (forward vs bidirectional kernel)",
+        "graph": "G(320,1600) weighted, H = ft-greedy k=5 f=2 vertex",
+        "spanner_edges": csr.num_edges,
+        "queries": len(queries),
+        "exceeded": sum(verdicts),
+        "verdicts_identical": True,
+        "band_fallbacks": band_fallbacks,
+        "forward_ms": round(forward_s * 1e3, 1),
+        "bidirectional_ms": round(bidirectional_s * 1e3, 1),
+        "speedup": round(forward_s / bidirectional_s, 2),
+    }
+
+
+# ---------------------------------------------------------------------------
 # Script mode: record the CSR-vs-dict comparison in BENCH_kernels.json
 # ---------------------------------------------------------------------------
 
@@ -289,6 +366,7 @@ def record_csr_vs_dict(path: "pathlib.Path | str" = None) -> dict:
             "speedup": round(view_s / csr_s, 2),
         })
     report["kernel_backends"] = record_loop_vs_numpy()
+    report["decision_queries"] = record_decision_queries()
     pathlib.Path(path).write_text(json.dumps(report, indent=2) + "\n")
     return report
 
@@ -306,3 +384,8 @@ if __name__ == "__main__":
               f"{'' if backends['speedup_asserted'] else ' (not asserted)'}")
     else:
         print("loop vs numpy: numpy unavailable, comparison skipped")
+    decisions = outcome["decision_queries"]
+    print(f"decision queries ({decisions['queries']} on {decisions['graph']}): "
+          f"forward {decisions['forward_ms']}ms bidirectional "
+          f"{decisions['bidirectional_ms']}ms -> {decisions['speedup']}x, "
+          f"verdicts identical, {decisions['band_fallbacks']} band fallbacks")

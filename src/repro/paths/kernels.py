@@ -13,12 +13,20 @@ pays nothing for vertex faults at all, because the vertex mask is *folded
 into the visited/seen bytearray* at query start (a faulted vertex is simply
 born "already settled", which is exactly "never expanded, never pushed").
 
-Every kernel mirrors its dict-based reference in :mod:`repro.paths.dijkstra`
-/ :mod:`repro.paths.bfs` *exactly* — same heap tie-breaking (push-order
-counter), same neighbor order (CSR arcs preserve the graph's per-node
-insertion order), same budget semantics — so kernel-built spanners are
-byte-identical to reference-built ones.  The equivalence is enforced by
-``tests/test_csr_kernels.py``.
+Every kernel except one mirrors its dict-based reference in
+:mod:`repro.paths.dijkstra` / :mod:`repro.paths.bfs` *exactly* — same heap
+tie-breaking (push-order counter), same neighbor order (CSR arcs preserve the
+graph's per-node insertion order), same budget semantics — so kernel-built
+spanners are byte-identical to reference-built ones.  The equivalence is
+enforced by ``tests/test_csr_kernels.py``.
+
+The exception is :func:`bidirectional_bounded_path_csr`, a decision kernel
+with no reference twin: it sums paths from both ends, so its distances can
+differ from the forward kernels' in the last bits and its path is *a*
+shortest path, not the forward kernels' one.  Its only consumer, the tiered
+oracle, reads nothing from it but a verdict that a band around the budget
+keeps equal to the forward kernel's; ``tests/test_csr_kernels.py`` checks it
+against :func:`bounded_dijkstra_csr` on that contract.
 
 All kernels tolerate a snapshot with a pending overflow (edges appended since
 the last compaction); the overflow arcs are walked after the compact slice,
@@ -158,6 +166,153 @@ def bounded_dijkstra_path_csr(csr: CSRGraph, source: int, target: int, budget: f
                     tiebreak += 1
                     heappush(heap, (candidate, tiebreak, neighbor, node))
     return _INF, []
+
+
+def bidirectional_bounded_path_csr(csr: CSRGraph, source: int, target: int,
+                                   budget: float,
+                                   vertex_mask: Optional[bytearray] = None,
+                                   edge_mask: Optional[bytearray] = None
+                                   ) -> Tuple[float, List[int]]:
+    """A shortest ``source``–``target`` path within ``budget``, searched from both ends.
+
+    Bounded bidirectional Dijkstra (Pohl, 1971): a forward search from
+    ``source`` and a backward one from ``target`` take turns, each step
+    settling whichever frontier has the smaller key, so a query whose answer
+    is near ``budget`` explores two balls of radius about ``budget / 2``
+    instead of one of radius ``budget``.  Returns ``(dist, index_path)``
+    (``source`` first) or ``(inf, [])`` when no path fits the budget.
+
+    Every label improvement on either side is checked against the other
+    side's label of the same node, so ``mu`` — the best meeting found —
+    never exceeds ``label_f(x) + label_b(x)`` for any ``x``.  Once the two
+    frontier keys sum past ``mu`` (or past ``budget``) no shorter path can
+    remain: a shortest path has an arc from a forward-settled node into a
+    backward-settled one (or ends in a fully explored side), and that arc's
+    relaxation bounded ``mu`` by its length.  A label is pushed only while
+    it plus the other frontier's key stays within ``budget`` and below
+    ``mu``: a node the other side has not settled is at least that key
+    from the other end, and one it has settled was just counted in ``mu``.
+
+    Not a twin of a dict reference: ``dist`` is the path's length summed
+    from both ends toward the meeting arc, which can differ from the forward
+    kernels' left-to-right sum in the last bits, and which of several tied
+    shortest paths comes back is not the forward kernels' choice.  Callers
+    that need the forward kernels' exact ``> budget`` verdict decide a band
+    around ``budget`` themselves (see
+    :meth:`repro.spanners.fault_check.TieredOracle._exceeds`).
+    """
+    n = len(csr.node_of)
+    if vertex_mask is None:
+        closed_f = bytearray(n)
+    else:
+        if vertex_mask[source] or vertex_mask[target]:
+            return _INF, []
+        closed_f = bytearray(vertex_mask)
+    if source == target:
+        return 0.0, [source]
+    closed_b = bytearray(closed_f)
+    indptr, indices, weights, edge_ids = csr.arc_lists()
+    get_extra = csr._extra.get
+    best_f = [_INF] * n
+    best_b = [_INF] * n
+    parent_f = [-1] * n
+    parent_b = [-1] * n
+    best_f[source] = 0.0
+    best_b[target] = 0.0
+    heap_f: List[Tuple[float, int]] = [(0.0, source)]
+    heap_b: List[Tuple[float, int]] = [(0.0, target)]
+    mu = _INF
+    meet = -1
+    while heap_f and heap_b:
+        top_f = heap_f[0][0]
+        top_b = heap_b[0][0]
+        reach = top_f + top_b
+        if reach >= mu or reach > budget:
+            break
+        # One settle on the side with the smaller key: both radii grow in
+        # step.  The sides differ only in which arrays are "mine".
+        if top_f <= top_b:
+            heap, closed, best, parent, other, top_other = (
+                heap_f, closed_f, best_f, parent_f, best_b, top_b)
+        else:
+            heap, closed, best, parent, other, top_other = (
+                heap_b, closed_b, best_b, parent_b, best_f, top_f)
+        dist, node = heappop(heap)
+        if closed[node]:
+            continue
+        closed[node] = 1
+        for t in range(indptr[node], indptr[node + 1]):
+            neighbor = indices[t]
+            if closed[neighbor]:
+                continue
+            if edge_mask is not None and edge_mask[edge_ids[t]]:
+                continue
+            candidate = dist + weights[t]
+            if candidate < best[neighbor]:
+                best[neighbor] = candidate
+                parent[neighbor] = node
+                through = candidate + other[neighbor]
+                if through < mu:
+                    mu = through
+                    meet = neighbor
+                reach = candidate + top_other
+                if reach <= budget and reach < mu:
+                    heappush(heap, (candidate, neighbor))
+        bucket = get_extra(node)
+        if bucket is not None:
+            for neighbor, weight, eid in bucket:
+                if closed[neighbor]:
+                    continue
+                if edge_mask is not None and edge_mask[eid]:
+                    continue
+                candidate = dist + weight
+                if candidate < best[neighbor]:
+                    best[neighbor] = candidate
+                    parent[neighbor] = node
+                    through = candidate + other[neighbor]
+                    if through < mu:
+                        mu = through
+                        meet = neighbor
+                    reach = candidate + top_other
+                    if reach <= budget and reach < mu:
+                        heappush(heap, (candidate, neighbor))
+    if meet < 0 or mu > budget:
+        return _INF, []
+    path = [meet]
+    while path[-1] != source:
+        path.append(parent_f[path[-1]])
+    path.reverse()
+    node = meet
+    while node != target:
+        node = parent_b[node]
+        path.append(node)
+    return mu, path
+
+
+def path_length_csr(csr: CSRGraph, index_path: List[int]) -> float:
+    """Length of a node-index path, summed left to right from its first node.
+
+    This is the association the forward kernels use (each label is the
+    parent's label plus one arc), so when the path is live under some masks,
+    :func:`bounded_dijkstra_csr` from ``index_path[0]`` under those masks
+    answers at most this length.  Costs one scan of each path node's arcs.
+    """
+    indptr, indices, weights, _ = csr.arc_lists()
+    get_extra = csr._extra.get
+    total = 0.0
+    for node, neighbor in zip(index_path, index_path[1:]):
+        for t in range(indptr[node], indptr[node + 1]):
+            if indices[t] == neighbor:
+                total += weights[t]
+                break
+        else:
+            for other, weight, _ in get_extra(node) or ():
+                if other == neighbor:
+                    total += weight
+                    break
+            else:
+                raise ValueError(f"no arc {node} -> {neighbor} in the snapshot")
+    return total
 
 
 def sssp_dijkstra_csr(csr: CSRGraph, source: int,

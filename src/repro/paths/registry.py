@@ -16,6 +16,12 @@ list of registered names.  Two backends ship:
     only when numpy imports; resolving it without numpy raises
     ``RuntimeError`` with the import failure.
 
+``loop`` also carries the optional decision kernel
+``bidirectional_bounded_path``, which has no numpy twin (the field is
+``None`` there and on ``auto``; consumers call it on the backend
+:meth:`KernelBackend.resolve` returns and fall back to the forward kernels
+without it).
+
 The default is ``auto``: a dispatching backend that picks ``numpy`` for CSR
 snapshots with at least :data:`AUTO_NODE_THRESHOLD` nodes (where the array
 sweep wins decisively) and ``loop`` below it (where Python loop overhead is
@@ -64,9 +70,12 @@ class KernelBackend:
     """A named bundle of CSR kernel callables.
 
     The six required kernels share signatures with their reference
-    definitions in :mod:`repro.paths.kernels`.  The optional batched
-    entry points are ``None`` when a backend has no fused implementation;
-    consumers fall back to per-query calls.
+    definitions in :mod:`repro.paths.kernels`.  The optional entry points
+    are ``None`` when a backend has no implementation: consumers fall back
+    to per-query calls of the batched ones, and to the forward bounded
+    kernels for ``bidirectional_bounded_path`` (the decision kernel of
+    :func:`repro.paths.kernels.bidirectional_bounded_path_csr`, which only
+    ``loop`` provides).
     """
 
     name: str
@@ -79,6 +88,7 @@ class KernelBackend:
     bounded_bfs_csr: Callable
     multi_source_sssp: Optional[Callable] = None
     multi_source_multi_target: Optional[Callable] = None
+    bidirectional_bounded_path: Optional[Callable] = None
 
     def resolve(self, csr: CSRGraph) -> "KernelBackend":
         """The concrete backend serving ``csr`` (identity for real backends)."""
@@ -168,6 +178,7 @@ register_kernel_backend(KernelBackend(
     multi_target_dijkstra_csr=_loop.multi_target_dijkstra_csr,
     bfs_distances_csr=_loop.bfs_distances_csr,
     bounded_bfs_csr=_loop.bounded_bfs_csr,
+    bidirectional_bounded_path=_loop.bidirectional_bounded_path_csr,
 ))
 
 try:

@@ -45,8 +45,16 @@ Every oracle runs on the compiled CSR snapshot of the queried
 :class:`~repro.graph.core.Graph` (inside the greedy driver, the growing
 spanner ``H``) with *fault masks*: trying a candidate fault set is a few byte
 writes on a mask, and the distance query itself runs the array-native
-kernels.  The ``Graph`` entry point :meth:`FaultCheckOracle.find_breaking_fault_set`
-only resolves that snapshot; anything that is not a ``Graph`` (an
+kernels.  The exhaustive, branch-and-bound and heuristic oracles ask only
+the forward kernels (``bounded_dijkstra_csr`` and its path twin).  The
+tiered oracle asks the forward path kernel wherever the exact search
+branches on a canonical path, a cached ``sssp_dijkstra_csr`` vector for
+warm root tests, and the bidirectional decision kernel
+(``bidirectional_bounded_path``, when the backend has it) for every query
+whose only output is "exceeds the budget?" — the root test, witness replay,
+path packing and the exact search's leaves.  The ``Graph`` entry point
+:meth:`FaultCheckOracle.find_breaking_fault_set` only resolves that
+snapshot; anything that is not a ``Graph`` (an
 :class:`~repro.graph.views.ExclusionView`, a duck-typed double) has no
 snapshot and raises ``TypeError``.
 """
@@ -61,6 +69,7 @@ from repro.faults.models import FaultModel, FaultSet, get_fault_model
 from repro.graph.core import Graph, Node, edge_key
 from repro.graph.csr import CSRGraph, csr_snapshot
 from repro.obs.metrics import MetricsRegistry, component_registry, get_registry
+from repro.paths.kernels import path_length_csr
 from repro.paths.registry import KernelLike, get_kernels
 
 #: Screen outcomes that resolved the query without the exact search.
@@ -83,7 +92,8 @@ class OracleStats:
     """
 
     __slots__ = ("metrics", "_queries", "_distance_queries", "_nodes_expanded",
-                 "_screen", "_screen_children", "_exact", "_screen_hit_rate")
+                 "_screen", "_screen_children", "_exact", "_band_fallbacks",
+                 "_screen_hit_rate")
 
     def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
         self.metrics = (metrics if metrics is not None
@@ -106,6 +116,10 @@ class OracleStats:
         self._screen_children: Dict[str, object] = {}
         self._exact = self.metrics.counter(
             "oracle.exact", "fault checks answered by the exact search")
+        self._band_fallbacks = self.metrics.counter(
+            "oracle.band_fallbacks",
+            "bidirectional decisions too close to the budget to call, "
+            "re-asked of the forward kernel")
         # The hit-rate histogram lives on the *process* registry: per-build
         # observations are process history, and the per-oracle component
         # registry (weakly attached) dies with the oracle — usually before
@@ -150,6 +164,10 @@ class OracleStats:
     def exact_checks(self) -> int:
         return self._exact.value
 
+    @property
+    def band_fallbacks(self) -> int:
+        return self._band_fallbacks.value
+
     def count_query(self) -> None:
         self._queries.inc()
 
@@ -168,6 +186,9 @@ class OracleStats:
 
     def count_exact(self) -> None:
         self._exact.inc()
+
+    def count_band_fallback(self) -> None:
+        self._band_fallbacks.inc()
 
     def screen_outcomes_with(
             self, extra: Optional[Mapping[str, float]] = None) -> Dict[str, int]:
@@ -461,6 +482,22 @@ class BranchAndBoundOracle(FaultCheckOracle):
         return [edge_key(path[i], path[i + 1]) for i in range(len(path) - 1)]
 
 
+#: Relative half-width of the band around a budget inside which the tiered
+#: oracle does not take the bidirectional kernel's word for ``> budget``.
+#: The forward kernels sum a path left to right from the source; the
+#: bidirectional kernel sums the same arcs from both ends toward the meeting
+#: arc.  Each of the ``h`` additions of non-negative weights rounds by at
+#: most ``ε = 2**-53`` of the running sum, so re-associating a sum of ``h``
+#: weights moves it by at most ``h·ε·dist``, and the two searches' shortest
+#: distances differ by at most ``2·h·ε·dist``.  1e-9 exceeds that for every
+#: path under four million hops: if the forward distance is ``<= budget``,
+#: the bidirectional search at ``budget·(1 + _BAND)`` finds a path, and a
+#: bidirectional distance ``<= budget·(1 - _BAND)`` puts the forward one
+#: below ``budget``.  A constant, not a knob: any value past the drift and
+#: far below the gaps between real distances gives the same answers.
+_BAND = 1e-9
+
+
 class TieredOracle(BranchAndBoundOracle):
     """Exact oracle with certified screens in front of the branch-and-bound search.
 
@@ -474,35 +511,48 @@ class TieredOracle(BranchAndBoundOracle):
        at all: the exact search's root query would read ``inf`` and return
        ``model.canonical([])``, so the screen certifies that accept from
        the degree alone, with no sweep.
-    2. **Warm-started distance vectors** — the unfaulted distance
-       ``dist_H(u, v)`` is read from a full SSSP vector cached across
+    2. **Root accept test** — is ``dist_H(u, v) > budget``?  Answered from
+       a full SSSP vector (``sssp_dijkstra_csr``) cached across
        consecutive candidates sharing a source (the sorted-edges order the
        greedy driver feeds makes those runs common; the cache key is the
        snapshot object itself plus its edge count, so growing ``H`` or
-       recompiling its snapshot invalidates it).  If
-       ``dist_H(u, v) > budget`` the exact search's very first bounded query
-       would exceed the budget and return ``model.canonical([])`` — the
-       screen returns that same empty canonical witness.  If
-       ``dist_H(u, v) ≤ budget`` and ``f = 0``, the exact search would
-       reject; the screen rejects.
+       recompiling its snapshot invalidates it), else by one decision query
+       (:meth:`_exceeds`).  If it exceeds, the exact search's very first
+       bounded query would too and return ``model.canonical([])`` — the
+       screen returns that same empty canonical witness.  Otherwise, with
+       ``f = 0`` the exact search would reject; the screen rejects.
     3. **Witness replay** (the Lemma 3 blocking-set material of
        :mod:`repro.spanners.blocking`) — the previous accept's witness fault
-       set is retried with ``|F|`` byte writes and one bounded query.  If it
-       still pushes the distance beyond the budget, a breaking fault set
+       set is retried with ``|F|`` byte writes and one decision query.  If
+       it still pushes the distance beyond the budget, a breaking fault set
        *exists*, so path packing cannot possibly certify a reject: the
        query goes straight to the exact search (which alone produces the
        canonical witness).
     4. **Disjoint short-path packing** — greedily pack element-disjoint
        ``u``–``v`` paths of length ``≤ budget``: each found path has its
-       faultable elements masked before the next query.  ``f + 1`` such
-       paths (or any one path with no faultable element) certify that every
-       fault set of size ``≤ f`` leaves some short path intact, i.e. the
-       exact search must answer ``None``.  Costs at most ``f + 1`` bounded
-       queries, against the exact search's ``O(L^f)``.
+       faultable elements masked before the next decision query, and the
+       root test's path serves as the first.  ``f + 1`` such paths (or any
+       one path with no faultable element) certify that every fault set of
+       size ``≤ f`` leaves some short path intact, i.e. the exact search
+       must answer ``None``.  Costs at most ``f + 1`` queries, against the
+       exact search's ``O(L^f)``.
+
+    A fallthrough runs the inherited search (:meth:`_exact_from_root`): its
+    root and internal nodes branch on the canonical paths of the forward
+    path kernel (``bounded_dijkstra_path_csr``), so witnesses match the
+    plain exact oracle's; only its leaves, where nothing but the
+    ``> budget`` verdict is read, become decision queries.
+
+    Decision queries (screens 2–4 and the leaves) go through
+    :meth:`_exceeds`: the bidirectional kernel
+    (``bidirectional_bounded_path``) where the backend has one, with a band
+    of :data:`_BAND` around the budget re-asked of the forward kernel, so
+    every verdict equals ``bounded_dijkstra_csr(...) > budget`` exactly.
 
     Outcomes land on the ``oracle.screen{outcome=}`` counter ("accept",
-    "reject", "fallthrough"); fallthroughs also count ``oracle.exact``, and
-    the per-build hit rate feeds the ``oracle.screen_hit_rate`` histogram.
+    "reject", "fallthrough"); fallthroughs also count ``oracle.exact``,
+    band re-asks count ``oracle.band_fallbacks``, and the per-build hit
+    rate feeds the ``oracle.screen_hit_rate`` histogram.
     """
 
     name = "tiered"
@@ -519,7 +569,7 @@ class TieredOracle(BranchAndBoundOracle):
         self._sssp_key: Optional[Tuple] = None
         self._sssp_dist: Optional[List[float]] = None
         self._previous_key: Optional[Tuple] = None
-        #: Most recent non-empty exact witness, replayed by screen 2.
+        #: Most recent non-empty exact witness, replayed by screen 3.
         self._recent_witness: Optional[List] = None
         # Reusable packing/replay mask (MaskBuffer discipline: writes are
         # tracked and cleared, so masking costs O(elements), not O(n)).
@@ -552,13 +602,10 @@ class TieredOracle(BranchAndBoundOracle):
             # compaction per accepted edge.
             self.stats.count_screen("accept")
             return model.canonical([])
-        # One root query feeds every tier: the warm-cache read (free on a
-        # hit), the accept/f=0 screens, the packing screen's first path,
-        # and the exact search's root — the fallthrough never re-queries.
-        distance, root_path = self._root_query(csr, s, t, budget)
-        if distance > budget:
+        exceeded, root_path = self._root_query(csr, s, t, budget)
+        if exceeded:
             # Certified accept: the exact search's unfaulted root query sees
-            # this same distance and returns the empty canonical witness.
+            # the same verdict and returns the empty canonical witness.
             self.stats.count_screen("accept")
             return model.canonical([])
         if max_faults == 0:
@@ -584,10 +631,68 @@ class TieredOracle(BranchAndBoundOracle):
             self._recent_witness = list(found)
         return model.canonical(found) if found is not None else None
 
+    # ------------------------------------------------------------- queries
+    def _exceeds(self, backend, csr: CSRGraph, s: int, t: int, budget: float,
+                 vertex_mask: Optional[bytearray],
+                 edge_mask: Optional[bytearray]
+                 ) -> Tuple[bool, Optional[List[int]]]:
+        """Exactly ``bounded_dijkstra_csr(...) > budget``, with a path if not.
+
+        Returns ``(exceeded, index_path)``.  When not exceeded,
+        ``index_path`` is a live ``s``–``t`` path whose left-to-right length
+        is ``<= budget``: the forward kernel reads ``<= budget`` under these
+        masks and under any larger mask that spares the path.
+
+        The bidirectional kernel answers at ``budget·(1 + _BAND)``.  ``inf``
+        proves "exceeded" (see :data:`_BAND`).  A path proves "within" when
+        its bidirectional length is ``<= budget·(1 - _BAND)``, or when its
+        own left-to-right sum (:func:`~repro.paths.kernels.path_length_csr`)
+        is ``<= budget`` — which keeps exact ties, ``d == budget`` on
+        integer weights, out of the band.  Anything else is re-asked of the
+        forward path kernel and counted on ``oracle.band_fallbacks``; so is
+        every query on a backend without the bidirectional kernel.
+        """
+        self.stats.count_distance_query()
+        bidirectional = backend.bidirectional_bounded_path
+        if bidirectional is not None:
+            distance, index_path = bidirectional(
+                csr, s, t, budget * (1 + _BAND), vertex_mask, edge_mask)
+            if not index_path:
+                return True, None
+            if (distance <= budget * (1 - _BAND)
+                    or path_length_csr(csr, index_path) <= budget):
+                return False, index_path
+            self.stats.count_band_fallback()
+            self.stats.count_distance_query()
+        distance, index_path = backend.bounded_dijkstra_path_csr(
+            csr, s, t, budget, vertex_mask, edge_mask)
+        if distance > budget:
+            return True, None
+        return False, index_path
+
+    def _search_csr(self, csr: CSRGraph, source: Node, target: Node,
+                    s: Optional[int], t: Optional[int], budget: float,
+                    remaining: int, model: FaultModel,
+                    current: List, mask: bytearray) -> Optional[List]:
+        """The inherited search node, with leaves asked of :meth:`_exceeds`.
+
+        A ``remaining == 0`` node only reads whether the distance exceeds
+        the budget, and :meth:`_exceeds` gives exactly that verdict; the
+        nodes that branch keep the forward kernel's canonical path.
+        """
+        if remaining or s is None or t is None:
+            return super()._search_csr(csr, source, target, s, t, budget,
+                                       remaining, model, current, mask)
+        self.stats.count_nodes_expanded()
+        vertex_mask, edge_mask = model.kernel_masks(mask)
+        exceeded, _ = self._exceeds(self.kernels.resolve(csr), csr, s, t,
+                                    budget, vertex_mask, edge_mask)
+        return list(current) if exceeded else None
+
     # ------------------------------------------------------------- screens
     def _root_query(self, csr: CSRGraph, s: int, t: int,
-                    budget: float) -> Tuple[float, Optional[List[Node]]]:
-        """Unfaulted ``(dist_H(u, v), short path or None)``, warm-started.
+                    budget: float) -> Tuple[bool, Optional[List[int]]]:
+        """``(dist_H(u, v) > budget, short index path or None)``, warm-started.
 
         Consecutive candidates sharing a source are common (``sorted_edges``
         tie-breaks cluster them within weight classes): the second same-source
@@ -598,48 +703,47 @@ class TieredOracle(BranchAndBoundOracle):
         candidates with larger budgets.  Any accepted edge invalidates the
         cache through the ``num_edges`` component of the key, and a
         recompiled snapshot through its (strongly held) object.  Vector reads
-        return no path; callers that need one (packing, the exact search)
-        issue their own path query.
+        return no path; the first candidate of a run asks :meth:`_exceeds`,
+        whose path seeds the packing screen.
         """
         key = (csr, csr.num_edges, s)
         if self._sssp_key == key and self._sssp_dist is not None:
-            return self._sssp_dist[t], None
+            return self._sssp_dist[t] > budget, None
         backend = self.kernels.resolve(csr)
         if self._previous_key == key:
             self.stats.count_distance_query()
             dist, _ = backend.sssp_dijkstra_csr(csr, s, None, None, None)
             self._sssp_key = key
             self._sssp_dist = dist
-            return dist[t], None
+            return dist[t] > budget, None
         self._previous_key = key
-        self.stats.count_distance_query()
-        distance, index_path = backend.bounded_dijkstra_path_csr(
-            csr, s, t, budget, None, None)
-        node_of = csr.node_of
-        return distance, [node_of[index] for index in index_path]
+        return self._exceeds(backend, csr, s, t, budget, None, None)
 
     def _exact_from_root(self, csr: CSRGraph, source: Node, target: Node,
                          s: int, t: int, budget: float, max_faults: int,
                          model: FaultModel,
-                         root_path: Optional[List[Node]]) -> Optional[List]:
-        """The exact branch-and-bound search, root query already answered.
+                         root_path: Optional[List[int]]) -> Optional[List]:
+        """The exact branch-and-bound search, reusing a canonical root path.
 
-        Replays :meth:`BranchAndBoundOracle._search_csr`'s root node without
-        re-issuing its (deterministic, already screened ``<= budget``)
-        unfaulted query — the caller holds the distance and, unless it came
-        from the warm cache, the path.  Children recurse through the
-        inherited ``_search_csr`` unchanged, so the found fault set is
-        byte-identical to the plain exact oracle's.
+        Without a bidirectional kernel the root test's path came from the
+        forward path kernel — exactly the path
+        :meth:`BranchAndBoundOracle._search_csr`'s root would branch on — so
+        the root node is replayed without re-issuing its query.  A
+        bidirectional path (or none, after a warm-cache read) is not that
+        canonical path: the search then starts from scratch and pays the
+        root's forward query itself.  Either way the children recurse
+        through ``_search_csr``, so the found fault set is byte-identical to
+        the plain exact oracle's.
         """
         mask = model.new_mask(csr)
-        if root_path is None:
-            # The root distance came from the cached SSSP vector (no path);
-            # this is the one fallthrough shape that pays the root twice.
+        backend = self.kernels.resolve(csr)
+        if root_path is None or backend.bidirectional_bounded_path is not None:
             return self._search_csr(csr, source, target, s, t, budget,
                                     max_faults, model, [], mask)
         self.stats.count_nodes_expanded()
-        backend = self.kernels.resolve(csr)
-        elements = self._path_elements(root_path, source, target, model)
+        node_of = csr.node_of
+        elements = self._path_elements([node_of[i] for i in root_path],
+                                       source, target, model)
         if (max_faults == 1 and len(elements) > 1
                 and backend.multi_source_multi_target is not None):
             return self._fused_leaf_search(csr, s, t, budget, model, elements,
@@ -691,9 +795,8 @@ class TieredOracle(BranchAndBoundOracle):
         for index in indices:
             mask[index] = 1
         vertex_mask, edge_mask = model.kernel_masks(mask)
-        self.stats.count_distance_query()
-        exceeded = self.kernels.resolve(csr).bounded_dijkstra_csr(
-            csr, s, t, budget, vertex_mask, edge_mask) > budget
+        exceeded, _ = self._exceeds(self.kernels.resolve(csr), csr, s, t,
+                                    budget, vertex_mask, edge_mask)
         for index in indices:
             mask[index] = 0
         return exceeded
@@ -701,31 +804,32 @@ class TieredOracle(BranchAndBoundOracle):
     def _packs_disjoint_paths(self, csr: CSRGraph, source: Node, target: Node,
                               s: int, t: int, budget: float, max_faults: int,
                               model: FaultModel,
-                              root_path: Optional[List[Node]] = None) -> bool:
+                              root_path: Optional[List[int]] = None) -> bool:
         """Certify a reject by packing ``max_faults + 1`` disjoint short paths.
 
         Greedy packing, not max-flow: a ``True`` answer is a sound
         certificate (some short path survives every fault set of size
         ``≤ max_faults``), a ``False`` answer only sends the query on to the
-        exact search.  ``root_path``, when the caller holds one, serves as
-        the first packed path for free (the mask starts empty, so the first
-        packing query would reproduce exactly the unfaulted root query).
+        exact search.  Every packed path comes from :meth:`_exceeds`, so
+        its left-to-right length is ``<= budget``: the forward kernel finds
+        it short under every fault set that spares it.  ``root_path``, when
+        the caller holds one, serves as the first packed path for free (the
+        mask starts empty, so the first query would repeat the root's).
         """
         backend = self.kernels.resolve(csr)
         mask = self._scratch_mask(csr, model)
         vertex_mask, edge_mask = model.kernel_masks(mask)
         node_of = csr.node_of
         set_indices: List[int] = []
-        path = root_path
+        index_path = root_path
         try:
             for packed in range(max_faults + 1):
-                if path is None:
-                    self.stats.count_distance_query()
-                    distance, index_path = backend.bounded_dijkstra_path_csr(
-                        csr, s, t, budget, vertex_mask, edge_mask)
-                    if distance > budget:
+                if index_path is None:
+                    exceeded, index_path = self._exceeds(
+                        backend, csr, s, t, budget, vertex_mask, edge_mask)
+                    if exceeded:
                         return False
-                    path = [node_of[index] for index in index_path]
+                path = [node_of[index] for index in index_path]
                 elements = self._path_elements(path, source, target, model)
                 if not elements:
                     # A short path with nothing to fault survives every
@@ -736,7 +840,7 @@ class TieredOracle(BranchAndBoundOracle):
                     for index in indices:
                         mask[index] = 1
                     set_indices.extend(indices)
-                path = None
+                index_path = None
             return True
         finally:
             for index in set_indices:

@@ -26,11 +26,14 @@ from repro.graph.core import Graph, edge_key
 from repro.graph.csr import CSRGraph, csr_snapshot
 from repro.graph.views import ExclusionView
 from repro.paths.bfs import _bfs_core
+from repro.graph import generators
 from repro.paths.kernels import (
     bfs_distances_csr,
+    bidirectional_bounded_path_csr,
     bounded_bfs_csr,
     bounded_dijkstra_csr,
     bounded_dijkstra_path_csr,
+    path_length_csr,
     sssp_dijkstra_csr,
 )
 from repro.spanners.fault_check import get_oracle
@@ -290,6 +293,110 @@ def test_entry_points_raise_type_error_on_views(entry, arity):
         args[position] = view
         with pytest.raises(TypeError, match="expected a Graph"):
             entry(*args)
+
+
+# --------------------------------------------------------------------------
+# The bidirectional decision kernel vs the forward kernel
+# --------------------------------------------------------------------------
+
+#: The band the tiered oracle leaves to the forward kernel (see
+#: ``repro.spanners.fault_check._BAND``).
+BAND = 1e-9
+
+
+def _bidirectional_case(kind, seed):
+    """A seeded G(n, m) snapshot of one shape, plus its RNG."""
+    rng = RandomSource(seed)
+    if kind == "disconnected":
+        graph = generators.gnm(24, 18, rng=seed, weighted=True)
+    else:
+        graph = generators.gnm(24, 60, rng=seed, connected=True,
+                               weighted=kind != "unweighted")
+    csr = csr_snapshot(graph)
+    if kind == "overflow":
+        # Appends after the compile land in the overflow buckets, which
+        # the kernels walk after each node's compact slice.
+        nodes = list(graph.nodes())
+        while csr._extra_count < 8:
+            u, v = rng.sample(nodes, 2)
+            if not graph.has_edge(u, v):
+                graph.add_edge(u, v, rng.uniform(1.0, 10.0))
+        assert csr_snapshot(graph) is csr
+    return csr, rng
+
+
+def _assert_live_path(csr, path, source, target, vertex_mask, edge_mask):
+    assert path[0] == source and path[-1] == target
+    for node in path:
+        assert vertex_mask is None or not vertex_mask[node]
+    live = {(u, v) for u in range(csr.num_nodes)
+            for v, _, eid in csr.arcs(u)
+            if edge_mask is None or not edge_mask[eid]}
+    live.update((u, v) for u, bucket in csr._extra.items()
+                for v, _, eid in bucket
+                if edge_mask is None or not edge_mask[eid])
+    for u, v in zip(path, path[1:]):
+        assert (u, v) in live, (u, v)
+
+
+@pytest.mark.parametrize("kind", ["weighted", "unweighted", "disconnected",
+                                  "overflow"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_bidirectional_kernel_agrees_with_forward_outside_the_band(kind, seed):
+    csr, rng = _bidirectional_case(kind, seed)
+    n = csr.num_nodes
+    checked_paths = 0
+    for query in range(120):
+        source, target = rng.randint(0, n - 1), rng.randint(0, n - 1)
+        if query % 10 == 0:
+            target = source
+        vertex_mask = edge_mask = None
+        if query % 3 != 0:
+            vertex_mask = bytearray(n)
+            for node in rng.sample(range(n), 3):
+                vertex_mask[node] = 1
+            if query % 11 == 0:
+                vertex_mask[source] = 1  # a masked endpoint is unreachable
+        if query % 2:
+            edge_mask = bytearray(csr.num_edges)
+            for eid in rng.sample(range(csr.num_edges), 4):
+                edge_mask[eid] = 1
+        exact = bounded_dijkstra_csr(csr, source, target, math.inf,
+                                     vertex_mask, edge_mask)
+        # Budgets around the real distance, ties included: on unit weights
+        # d == budget happens exactly.
+        for budget in (exact, exact * 0.75, exact * 1.5, rng.uniform(0.0, 30.0)):
+            if math.isnan(budget):
+                continue
+            forward = bounded_dijkstra_csr(csr, source, target, budget,
+                                           vertex_mask, edge_mask)
+            dist, path = bidirectional_bounded_path_csr(
+                csr, source, target, budget, vertex_mask, edge_mask)
+            if exact == math.inf or abs(exact - budget) > BAND * budget:
+                assert (dist > budget) == (forward > budget), (query, budget)
+            if kind == "unweighted":  # integer sums are exact: no band
+                assert (dist > budget) == (forward > budget), (query, budget)
+            if dist == math.inf:
+                assert path == []
+                continue
+            assert dist <= budget
+            _assert_live_path(csr, path, source, target, vertex_mask,
+                              edge_mask)
+            assert abs(dist - exact) <= BAND * exact
+            assert abs(path_length_csr(csr, path) - exact) <= BAND * exact
+            checked_paths += 1
+    assert checked_paths > 0
+
+
+def test_bidirectional_kernel_masked_endpoint_and_self_query():
+    csr = csr_snapshot(Graph(edges=[(0, 1), (1, 2)]))
+    assert bidirectional_bounded_path_csr(csr, 1, 1, 0.0) == (0.0, [1])
+    mask = bytearray(3)
+    mask[2] = 1
+    assert bidirectional_bounded_path_csr(csr, 0, 2, 9.0, mask) == (math.inf, [])
+    assert bidirectional_bounded_path_csr(csr, 2, 2, 9.0, mask) == (math.inf, [])
+    assert bidirectional_bounded_path_csr(csr, 0, 2, 2.0) == (2.0, [0, 1, 2])
+    assert bidirectional_bounded_path_csr(csr, 0, 2, 1.5) == (math.inf, [])
 
 
 # --------------------------------------------------------------------------

@@ -7,7 +7,12 @@ import pytest
 from repro.faults.models import get_fault_model
 from repro.graph import generators
 from repro.graph.core import Graph
+from repro.graph.csr import csr_snapshot
 from repro.paths.dijkstra import bounded_distance
+from repro.paths.kernels import (
+    bidirectional_bounded_path_csr,
+    bounded_dijkstra_csr,
+)
 from repro.spanners.fault_check import (
     SCREEN_RESOLVED_OUTCOMES,
     BranchAndBoundOracle,
@@ -20,6 +25,8 @@ from repro.spanners.fault_check import (
     get_oracle,
     oracle_name,
 )
+from repro.spanners.ft_greedy import ft_greedy_spanner
+from repro.utils.rng import RandomSource
 
 
 def _witness_is_valid(graph, source, target, budget, max_faults, model_name, witness):
@@ -269,6 +276,96 @@ class TestTieredOracle:
         rate = tiered.stats.observe_screen_hit_rate()
         assert rate is not None
         assert rate == tiered.stats.screen_resolved / tiered.stats.queries
+
+
+def _small_integer_weights(graph, seed, high=3):
+    """``graph`` re-weighted with integers in ``[1, high]`` (ties galore)."""
+    rng = RandomSource(seed)
+    out = Graph(nodes=graph.nodes())
+    for u, v, _ in graph.edges():
+        out.add_edge(u, v, float(rng.randint(1, high)))
+    return out
+
+
+class TestTieredDecisionQueries:
+    """The tiered oracle's decision queries run the bidirectional kernel,
+    whose sums associate differently from the forward kernel's; the band
+    around the budget must keep every decision on the forward side of
+    ``d == budget`` — ties on integer weights and ulp-level disagreements
+    alike."""
+
+    @pytest.mark.parametrize("fault_model", ["vertex", "edge"])
+    @pytest.mark.parametrize("max_faults", [1, 2, 3])
+    @pytest.mark.parametrize("weights", ["unit", "small-integer"])
+    def test_tie_heavy_builds_match_branch_and_bound(self, fault_model,
+                                                     max_faults, weights):
+        graph = generators.gnm(24, 110, rng=max_faults, connected=True)
+        if weights == "small-integer":
+            graph = _small_integer_weights(graph, max_faults)
+        tiered = ft_greedy_spanner(graph, 3, max_faults, fault_model,
+                                   oracle="tiered")
+        exact = ft_greedy_spanner(graph, 3, max_faults, fault_model,
+                                  oracle="branch-and-bound")
+        assert list(tiered.spanner.edges()) == list(exact.spanner.edges())
+        assert tiered.witness_fault_sets == exact.witness_fault_sets
+
+    @pytest.mark.parametrize("fault_model", ["vertex", "edge"])
+    def test_tie_heavy_journal_matches_branch_and_bound(self, fault_model):
+        from repro.build import BuildSpec
+        from repro.dynamic import DynamicSpanner, random_journal
+
+        graph = generators.gnm(20, 70, rng=4, connected=True)
+        journal = random_journal(graph, 30, weight_range=(1.0, 1.0), rng=9)
+        spanners = []
+        for oracle in ("tiered", "branch-and-bound"):
+            spanner = DynamicSpanner(graph.copy(), BuildSpec(
+                "ft-greedy", stretch=3, max_faults=2,
+                fault_model=fault_model, oracle=oracle))
+            spanner.apply_journal(journal)
+            spanners.append(spanner)
+        tiered, exact = spanners
+        assert list(tiered.spanner.edges()) == list(exact.spanner.edges())
+        assert tiered.witnesses == exact.witnesses
+
+    @pytest.mark.parametrize("fault_model", ["vertex", "edge"])
+    @pytest.mark.parametrize("weights,budget", [
+        ((0.1, 0.2, 0.3), 0.6),
+        # Summed from both ends this path is exactly 0.9; from the source
+        # it is 0.9000000000000001.
+        ((0.4, 0.2, 0.3), 0.9),
+    ])
+    def test_ulp_planted_path_decides_as_branch_and_bound(self, fault_model,
+                                                          weights, budget):
+        graph = Graph()
+        for index, weight in enumerate(weights):
+            graph.add_edge(index, index + 1, weight)
+        target = len(weights)
+        csr = csr_snapshot(graph)
+        assert bounded_dijkstra_csr(csr, 0, target, math.inf) > budget
+        if weights == (0.4, 0.2, 0.3):
+            assert bidirectional_bounded_path_csr(csr, 0, target,
+                                                  budget)[0] == budget
+        # A second, exactly-short route: with it the pair needs one fault.
+        graph.add_edge(0, "c", budget / 2)
+        graph.add_edge("c", target, budget / 2)
+        # Pinned to the backend that carries the bidirectional kernel (the
+        # suite also runs under REPRO_KERNEL=numpy, which has none).
+        tiered = TieredOracle(kernel="loop")
+        for max_faults in (0, 1, 2):
+            for source, sink in ((0, target), (target, 0)):
+                answer = tiered.find_breaking_fault_set(
+                    graph, source, sink, budget, max_faults, fault_model)
+                exact = BranchAndBoundOracle().find_breaking_fault_set(
+                    graph, source, sink, budget, max_faults, fault_model)
+                assert answer == exact, (max_faults, source)
+        assert tiered.stats.band_fallbacks > 0
+
+    def test_band_fallbacks_stay_zero_on_exact_ties(self):
+        graph = generators.gnm(24, 110, rng=2, connected=True)
+        tiered = TieredOracle(kernel="loop")
+        result = ft_greedy_spanner(graph, 3, 2, "vertex", oracle=tiered)
+        assert result.parameters["screen_outcomes"]["reject"] > 0
+        assert tiered.stats.band_fallbacks == 0
 
 
 class TestStats:
