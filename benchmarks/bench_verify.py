@@ -27,7 +27,18 @@ The machine-independent companion is ``kernel_dispatches_per_fault_set``:
 the ``kernels.dispatch`` counter delta of the serial run divided by its
 fault sets.  Each fault set costs at most one early-exit search in
 ``H \\ F`` per source (the all-pairs sweep it replaced paid two full SSSPs
-per source), so the value must stay ``<= n`` on any machine.
+per source), so the value must stay ``<= n`` on any machine.  With the
+verify memo (:func:`repro.faults.adversarial.source_trees`) a fault set
+searches only the sources whose recorded paths it touches, so the value
+must also stay below half the planned sources (the sources with G edges
+left to check; a sweep without the memo searches all but at most ``f`` of
+them per fault set).  A memo that silently stopped working fails that
+gate on any machine.  The memo's own build resolves the kernel backend
+once, so it adds one dispatch per run.
+
+Every timed run verifies a fresh copy of the spanner, so it compiles the
+CSR snapshot and builds the memo cold, as a first verification of a graph
+does.
 """
 
 import argparse
@@ -37,7 +48,10 @@ import time
 
 import pytest
 
+from repro.faults.adversarial import source_trees
+from repro.faults.models import get_fault_model
 from repro.graph import generators
+from repro.graph.csr import csr_snapshot
 from repro.obs.metrics import get_registry
 from repro.runtime import ProcessPoolBackend, SerialBackend, usable_cpu_count
 from repro.spanners.ft_greedy import ft_greedy_spanner
@@ -55,6 +69,13 @@ def _verification_case(n: int, m: int, *, fault_model: str, seed: int = 2025):
     ft = ft_greedy_spanner(graph, 3, 2, fault_model=fault_model).spanner
     plain = greedy_spanner(graph, 3).spanner
     return graph, ft, plain
+
+
+def _planned_sources(graph, spanner, fault_model: str) -> int:
+    """Sources with G edges left to check: a memo-less sweep's search count."""
+    memo = source_trees(csr_snapshot(graph), csr_snapshot(spanner),
+                        get_fault_model(fault_model), "loop")
+    return sum(row is not None for row in memo.ratios)
 
 
 def _report_fields(report) -> dict:
@@ -92,7 +113,9 @@ def record_verify_parallel(path=None, *, quick: bool = False,
     if quick:
         # Big enough that a 4-worker pool amortises its startup well past
         # the 2x floor on a 4-core machine, small enough for a CI smoke.
-        configs = [("vertex", 32, 120), ("edge", 20, 48)]
+        # The memo made each fault set cheap, so these are larger than the
+        # full cases, which stay fixed for comparison across changes.
+        configs = [("vertex", 64, 256), ("edge", 32, 96)]
     else:
         configs = [("vertex", 48, 180), ("edge", 24, 60)]
     cores = usable_cpu_count()
@@ -112,9 +135,11 @@ def record_verify_parallel(path=None, *, quick: bool = False,
         graph, ft, plain = _verification_case(n, m, fault_model=fault_model)
 
         def run(backend, spanner=ft):
-            return is_ft_spanner(graph, spanner, 3, 2, fault_model,
+            # A fresh copy: a cold snapshot and memo, built inside the run.
+            return is_ft_spanner(graph, spanner.copy(), 3, 2, fault_model,
                                  method="exhaustive", backend=backend)
 
+        planned = _planned_sources(graph, ft, fault_model)
         before = get_registry().counters()
         serial_report = run(serial)
         dispatches_per_set = (
@@ -123,6 +148,10 @@ def record_verify_parallel(path=None, *, quick: bool = False,
         assert dispatches_per_set <= n, (
             f"{fault_model}: {dispatches_per_set} kernel dispatches per fault "
             f"set exceed one search per source ({n})")
+        assert dispatches_per_set < planned / 2, (
+            f"{fault_model}: {dispatches_per_set} kernel dispatches per fault "
+            f"set: the verify memo no longer spares untouched sources "
+            f"({planned} planned)")
         pooled_report = run(pooled)
         assert _report_fields(pooled_report) == _report_fields(serial_report), (
             f"parallel verification diverged from serial on {fault_model}"
@@ -142,6 +171,7 @@ def record_verify_parallel(path=None, *, quick: bool = False,
             "n": n, "m": m, "max_faults": 2,
             "spanner_edges": ft.number_of_edges(),
             "fault_sets": serial_report.fault_sets_checked,
+            "planned_sources": planned,
             "kernel_dispatches_per_fault_set": round(dispatches_per_set, 2),
             "serial_s": round(serial_s, 3),
             "parallel_s": round(pooled_s, 3),

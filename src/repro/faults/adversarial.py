@@ -16,19 +16,26 @@ accept ``workers`` / ``backend`` and shard their candidate list through
 are contiguous slices of the candidate order, merged with the serial
 strict-``>`` update rule, and a chunk that hits the stop condition (infinite
 stretch, or the ``stop_stretch`` refutation threshold) cancels every chunk
-after it — never one before it.
+after it — never one before it.  Worker counter movement ships home with
+each consumed chunk, so pooled and serial searches move the same counters.
+
+Every multi-fault-set entry point builds the verify memo
+(:func:`source_trees`) once in the calling process and ships it with the
+snapshots, so each fault set re-searches only the sources whose recorded
+unfaulted paths it touches (see :func:`stretch_between_csr`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.faults.enumeration import enumerate_fault_sets, sample_fault_sets
 from repro.faults.models import FaultModel, FaultSet, get_fault_model
 from repro.graph.core import Graph, Node
 from repro.graph.csr import CSRGraph, csr_snapshot
+from repro.obs.metrics import get_registry
 from repro.paths.registry import KernelLike, get_kernels
 from repro.runtime.backend import BackendLike, get_backend
 from repro.runtime.merge import ChunkArgmax, merge_argmax
@@ -108,11 +115,134 @@ def _edge_plan(csr_g: CSRGraph, csr_h: CSRGraph) -> List:
     return plan
 
 
+@dataclass(frozen=True)
+class SourceTrees:
+    """Unfaulted shortest paths of every planned source: the verify memo.
+
+    Built by :func:`source_trees` from one search per source of
+    :func:`_edge_plan` in the unfaulted ``csr_h``; indices follow the plan
+    (``ratios[u][p]`` belongs to ``plan[u][1][p]``).
+    """
+
+    #: Per ``csr_g`` source index, the unfaulted ``d_H(u, v) / w(u, v)`` of
+    #: each plan position (``inf`` when H lacks an endpoint or a path), or
+    #: ``None`` for a source with nothing to check.
+    ratios: List[Optional[List[float]]]
+    #: Faultable ``csr_h`` element (internal vertex index, or edge id) ->
+    #: the ``(source, position)`` entries whose recorded path uses it.
+    paths: Dict[int, List[Tuple[int, int]]]
+    #: Faultable ``csr_g`` element -> the sources whose plan rows it drops
+    #: a target from (a faulted vertex also drops its own row).
+    rows: Dict[int, List[int]]
+    #: ``(row maximum, source)`` for every row whose maximum exceeds 1,
+    #: largest first.
+    ranked: List[Tuple[float, int]]
+
+    def affected(self, g_faults: List[int], h_faults: List[int]
+                 ) -> Tuple[Dict[int, Set[int]], Set[int]]:
+        """``(dirty, visit)`` under a fault set given by its mask indices.
+
+        ``dirty`` maps a source to the plan positions whose recorded path
+        a fault removes; ``visit`` adds the sources whose rows the G-side
+        faults change.  Every other source keeps its unfaulted row.
+        """
+        dirty: Dict[int, Set[int]] = {}
+        for element in h_faults:
+            for source, position in self.paths.get(element, ()):
+                positions = dirty.get(source)
+                if positions is None:
+                    dirty[source] = {position}
+                else:
+                    positions.add(position)
+        visit = set(dirty)
+        for element in g_faults:
+            visit.update(self.rows.get(element, ()))
+        return dirty, visit
+
+    def clean_max(self, visit: Set[int]) -> float:
+        """The largest row maximum outside ``visit`` (``1.0`` if none exceeds 1)."""
+        for value, source in self.ranked:
+            if source not in visit:
+                return value
+        return 1.0
+
+
+def source_trees(csr_g: CSRGraph, csr_h: CSRGraph, model: FaultModel,
+                 kernel: KernelLike = None) -> Optional[SourceTrees]:
+    """The :class:`SourceTrees` memo of ``(csr_g, csr_h, model)``, or ``None``.
+
+    One :func:`~repro.paths.kernels.multi_target_tree_csr` search per
+    planned source in the unfaulted ``csr_h`` records each target's ratio
+    and the faultable elements on its recorded path: the internal vertices
+    under vertex faults, every edge under edge faults (an endpoint fault
+    drops the target from G anyway).  ``None`` when the resolved kernel
+    backend has no tree kernel (numpy): callers then search every source.
+
+    Memoised on ``csr_h`` like :func:`_edge_plan`, with the fault model in
+    the key.  The backend is resolved on every call, hit or miss, so the
+    ``kernels.dispatch`` counter moves by exactly one per call and the
+    searches of a build are not counted one by one: a cached memo and a
+    fresh one cost the counter the same.
+    """
+    tree = get_kernels(kernel).resolve(csr_h).multi_target_tree
+    if tree is None:
+        return None
+    key = (csr_g.num_nodes, csr_g.num_edges, csr_h.num_nodes,
+           csr_h.num_edges, model.name)
+    cached = csr_h._nd_views.get("source_trees")
+    if cached is not None and cached[0] is csr_g and cached[1] == key:
+        return cached[2]
+    vertex = model.uses_vertex_mask
+    plan = _edge_plan(csr_g, csr_h)
+    ratios: List[Optional[List[float]]] = [None] * csr_g.num_nodes
+    paths: Dict[int, List[Tuple[int, int]]] = {}
+    rows: Dict[int, List[int]] = {}
+    ranked: List[Tuple[float, int]] = []
+    for u, entry in enumerate(plan):
+        if entry is None:
+            continue
+        hs, edges = entry
+        if vertex:
+            rows.setdefault(u, []).append(u)
+        row = [math.inf] * len(edges)
+        targets = [] if hs is None else [hv for _, hv, _, _ in edges
+                                         if hv is not None]
+        if targets:
+            distances, parents, arcs = tree(csr_h, hs, targets)
+            reached = iter(distances)
+        for position, (v, hv, weight, eid) in enumerate(edges):
+            rows.setdefault(v if vertex else eid, []).append(u)
+            if not targets or hv is None:
+                continue
+            distance = next(reached)
+            row[position] = distance / weight
+            if distance == math.inf:
+                continue
+            node = hv
+            while node != hs:
+                if vertex:
+                    node = parents[node]
+                    if node != hs:
+                        paths.setdefault(node, []).append((u, position))
+                else:
+                    paths.setdefault(arcs[node], []).append((u, position))
+                    node = parents[node]
+        ratios[u] = row
+        top = max(row)
+        if top > 1.0:
+            ranked.append((top, u))
+    ranked.sort(key=lambda item: (-item[0], item[1]))
+    memo = SourceTrees(ratios=ratios, paths=paths, rows=rows, ranked=ranked)
+    csr_h._nd_views["source_trees"] = (csr_g, key, memo)
+    return memo
+
+
 def stretch_between_csr(csr_g: CSRGraph, csr_h: CSRGraph, model: FaultModel,
                         fault_list: List,
                         pairs: Optional[List[Tuple[Node, Node]]] = None,
                         *, sources: Optional[List[Node]] = None,
                         restrict: Optional[Dict[Node, frozenset]] = None,
+                        memo: Optional[SourceTrees] = None,
                         kernel: KernelLike = None) -> float:
     """Mask-based stretch of ``csr_h \\ F`` w.r.t. ``csr_g \\ F``.
 
@@ -133,6 +263,24 @@ def stretch_between_csr(csr_g: CSRGraph, csr_h: CSRGraph, model: FaultModel,
     search in ``H \\ F`` that stops when its last target settles
     (see :func:`_edge_plan`) — no search in G at all.
 
+    **A fault set re-searches only what it touches.**  With ``memo`` (the
+    caller's :func:`source_trees` of these snapshots and this model) the
+    search above runs only for the targets whose recorded unfaulted path
+    contains a faulted H element; a target a G fault drops is skipped with
+    no search, and every other target keeps its unfaulted ratio.  Sources
+    the fault set does not touch at all are read in one step, from the
+    memo's rows ranked by maximum.  The result is bit-identical to
+    searching every source.  The kernels add ``fl(a + w)`` left to right
+    and ``fl`` is monotone with ``fl(a + w) >= a`` for ``w >= 0``, so each
+    settled label is the minimum, over all live paths, of the path's
+    left-to-right float sum, and the recorded path's sum is exactly that
+    label.  A fault set only removes paths, so it cannot lower the
+    minimum; if it spares the recorded path, that path still attains it,
+    and the faulted label is the unfaulted one to the last bit.  Without
+    ``memo`` every source counts as touched: the same loop, searching
+    everything.  ``memo`` serves the all-sources sweep only (``sources``,
+    ``pairs`` and ``restrict`` leave it unused).
+
     ``pairs`` / ``restrict`` instead compare arbitrary pairs, which need G
     distances: per source one SSSP in each snapshot.  ``sources`` limits
     either sweep to a chunk of sources — this is how sharded source sweeps
@@ -141,11 +289,13 @@ def stretch_between_csr(csr_g: CSRGraph, csr_h: CSRGraph, model: FaultModel,
     partition the serial sweep.
     """
     vertex = model.uses_vertex_mask
+    g_faults = model.mask_indices(csr_g, fault_list)
     mask_g = model.new_mask(csr_g)
-    for index in model.mask_indices(csr_g, fault_list):
+    for index in g_faults:
         mask_g[index] = 1
+    h_faults = model.mask_indices(csr_h, fault_list)
     mask_h = model.new_mask(csr_h)
-    for index in model.mask_indices(csr_h, fault_list):
+    for index in h_faults:
         mask_h[index] = 1
     vm_h, em_h = model.kernel_masks(mask_h)
 
@@ -161,22 +311,36 @@ def stretch_between_csr(csr_g: CSRGraph, csr_h: CSRGraph, model: FaultModel,
 
     if restrict is None:
         plan = _edge_plan(csr_g, csr_h)
-        if sources is None:
-            source_indices: Iterable = range(csr_g.num_nodes)
+        worst = 1.0
+        dirty: Optional[Dict[int, Set[int]]] = None
+        if memo is not None and sources is None:
+            dirty, visit = memo.affected(g_faults, h_faults)
+            worst = memo.clean_max(visit)
+            source_indices: Iterable = sorted(visit)
+        elif sources is None:
+            source_indices = range(csr_g.num_nodes)
         else:
             source_indices = (g_index.get(source) for source in sources)
-        worst = 1.0
         for si in source_indices:
+            if worst == math.inf:
+                return worst
             if si is None or (vertex and mask_g[si]):
                 continue
             entry = plan[si]
             if entry is None:
                 continue
             hs, edges = entry
+            if dirty is not None:
+                base = memo.ratios[si]
+                touched = dirty.get(si, ())
             targets = []
             lengths = []
-            for v, hv, weight, eid in edges:
+            for position, (v, hv, weight, eid) in enumerate(edges):
                 if mask_g[v] if vertex else mask_g[eid]:
+                    continue
+                if dirty is not None and position not in touched:
+                    if base[position] > worst:
+                        worst = base[position]
                     continue
                 if hv is None:
                     return math.inf
@@ -194,8 +358,6 @@ def stretch_between_csr(csr_g: CSRGraph, csr_h: CSRGraph, model: FaultModel,
                 ratio = distance / weight
                 if ratio > worst:
                     worst = ratio
-            if worst == math.inf:
-                return worst
         return worst
 
     vm_g, em_g = model.kernel_masks(mask_g)
@@ -230,7 +392,6 @@ def stretch_between_csr(csr_g: CSRGraph, csr_h: CSRGraph, model: FaultModel,
                 worst = ratio
     return worst
 
-
 @dataclass(frozen=True)
 class _SearchContext:
     """Picklable payload shipped once per worker for the adversarial search."""
@@ -242,6 +403,8 @@ class _SearchContext:
     #: "first refutation" early-cancel); ``inf`` always stops the scan.
     stop_stretch: Optional[float]
     kernel: Optional[str] = None
+    #: Built once by the caller (:func:`source_trees`); workers never rebuild it.
+    memo: Optional[SourceTrees] = None
 
 
 def _search_chunk(ctx: _SearchContext, chunk: List) -> ChunkArgmax:
@@ -258,7 +421,7 @@ def _search_chunk(ctx: _SearchContext, chunk: List) -> ChunkArgmax:
     for faults in chunk:
         checked += 1
         value = stretch_between_csr(ctx.csr_g, ctx.csr_h, model, list(faults),
-                                    kernel=ctx.kernel)
+                                    memo=ctx.memo, kernel=ctx.kernel)
         if value > best_value:
             best_value = value
             best = model.canonical(faults)
@@ -324,9 +487,11 @@ def worst_case_fault_set(original: Graph, spanner: Graph,
     context = _SearchContext(csr_g=csr_g, csr_h=csr_h,
                              fault_model=model.name,
                              stop_stretch=stop_stretch,
-                             kernel=get_kernels(kernel).name)
+                             kernel=get_kernels(kernel).name,
+                             memo=source_trees(csr_g, csr_h, model, kernel))
     chunks = iter_chunks(candidates, chunk_size_for(total, resolved.workers))
-    outcome = merge_argmax(resolved.imap(_search_chunk, chunks, context=context))
+    outcome = merge_argmax(resolved.imap(_search_chunk, chunks, context=context,
+                                         metrics=get_registry()))
     if outcome.best is None:
         return model.canonical(()), 0.0
     return outcome.best, outcome.best_value
@@ -340,12 +505,13 @@ class _TrialContext:
     csr_h: CSRGraph
     fault_model: str
     kernel: Optional[str] = None
+    memo: Optional[SourceTrees] = None
 
 
 def _trial_chunk(ctx: _TrialContext, chunk: List) -> List[float]:
     model = get_fault_model(ctx.fault_model)
     return [stretch_between_csr(ctx.csr_g, ctx.csr_h, model, list(faults),
-                                kernel=ctx.kernel)
+                                memo=ctx.memo, kernel=ctx.kernel)
             for faults in chunk]
 
 
@@ -367,10 +533,12 @@ def random_fault_trial(original: Graph, spanner: Graph,
     resolved = get_backend(backend, workers)
     context = _TrialContext(csr_g=csr_g, csr_h=csr_h,
                             fault_model=model.name,
-                            kernel=get_kernels(kernel).name)
+                            kernel=get_kernels(kernel).name,
+                            memo=source_trees(csr_g, csr_h, model, kernel))
     chunks = iter_chunks(fault_sets, chunk_size_for(len(fault_sets),
                                                     resolved.workers))
     values: List[float] = []
-    for chunk_values in resolved.map(_trial_chunk, chunks, context=context):
+    for chunk_values in resolved.map(_trial_chunk, chunks, context=context,
+                                     metrics=get_registry()):
         values.extend(chunk_values)
     return values

@@ -27,6 +27,9 @@ shortest path, not the forward kernels' one.  Its only consumer, the tiered
 oracle, reads nothing from it but a verdict that a band around the budget
 keeps equal to the forward kernel's; ``tests/test_csr_kernels.py`` checks it
 against :func:`bounded_dijkstra_csr` on that contract.
+:func:`multi_target_tree_csr` is :func:`multi_target_dijkstra_csr` with its
+shortest-path tree returned as well, for the verification memo in
+:mod:`repro.faults.adversarial`.
 
 All kernels tolerate a snapshot with a pending overflow (edges appended since
 the last compaction); the overflow arcs are walked after the compact slice,
@@ -465,6 +468,99 @@ def multi_target_dijkstra_csr(csr: CSRGraph, source: int, targets: List[int],
                     tiebreak += 1
                     heappush(heap, (candidate, tiebreak, neighbor))
     return result
+
+
+def multi_target_tree_csr(csr: CSRGraph, source: int, targets: List[int],
+                          vertex_mask: Optional[bytearray] = None,
+                          edge_mask: Optional[bytearray] = None
+                          ) -> Tuple[List[float], List[int], List[int]]:
+    """:func:`multi_target_dijkstra_csr` plus the shortest-path tree it grew.
+
+    Returns ``(distances, parents, parent_arcs)``: ``distances`` is exactly
+    :func:`multi_target_dijkstra_csr`'s answer (same expansion, tie-breaking
+    and early exit), and for every settled node ``x`` other than ``source``,
+    ``parents[x]`` is the node it was settled from and ``parent_arcs[x]``
+    the edge id of that arc (``-1`` elsewhere).  Walking ``parents`` back
+    from a reached target gives the recorded path, and its left-to-right
+    sum from ``source`` is the returned distance: each label is the
+    parent's settled label plus the arc's weight, which is the last
+    improvement of the label before it settled.
+    """
+    n = len(csr.node_of)
+    result = [_INF] * len(targets)
+    parents = [-1] * n
+    parent_arcs = [-1] * n
+    if vertex_mask is None:
+        visited = bytearray(n)
+    else:
+        if vertex_mask[source]:
+            return result, parents, parent_arcs
+        visited = bytearray(vertex_mask)
+    # From here on, line for line the search of multi_target_dijkstra_csr
+    # plus the two tree writes beside each label improvement.
+    pending: dict = {}
+    for position, target in enumerate(targets):
+        if visited[target]:
+            continue
+        if target == source:
+            result[position] = 0.0
+            continue
+        bucket = pending.get(target)
+        if bucket is None:
+            pending[target] = [position]
+        else:
+            bucket.append(position)
+    if not pending:
+        return result, parents, parent_arcs
+    remaining = len(pending)
+    indptr, indices, weights, edge_ids = csr.arc_lists()
+    get_extra = csr._extra.get
+    best = [_INF] * n
+    best[source] = 0.0
+    tiebreak = 0
+    heap: List[Tuple[float, int, int]] = [(0.0, 0, source)]
+    while heap:
+        dist, _, node = heappop(heap)
+        if visited[node]:
+            continue
+        positions = pending.get(node)
+        if positions is not None:
+            for position in positions:
+                result[position] = dist
+            del pending[node]
+            remaining -= 1
+            if not remaining:
+                return result, parents, parent_arcs
+        visited[node] = 1
+        for t in range(indptr[node], indptr[node + 1]):
+            neighbor = indices[t]
+            if visited[neighbor]:
+                continue
+            eid = edge_ids[t]
+            if edge_mask is not None and edge_mask[eid]:
+                continue
+            candidate = dist + weights[t]
+            if candidate < best[neighbor]:
+                best[neighbor] = candidate
+                parents[neighbor] = node
+                parent_arcs[neighbor] = eid
+                tiebreak += 1
+                heappush(heap, (candidate, tiebreak, neighbor))
+        bucket = get_extra(node)
+        if bucket is not None:
+            for neighbor, weight, eid in bucket:
+                if visited[neighbor]:
+                    continue
+                if edge_mask is not None and edge_mask[eid]:
+                    continue
+                candidate = dist + weight
+                if candidate < best[neighbor]:
+                    best[neighbor] = candidate
+                    parents[neighbor] = node
+                    parent_arcs[neighbor] = eid
+                    tiebreak += 1
+                    heappush(heap, (candidate, tiebreak, neighbor))
+    return result, parents, parent_arcs
 
 
 def bfs_distances_csr(csr: CSRGraph, source: int,

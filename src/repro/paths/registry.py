@@ -16,11 +16,12 @@ list of registered names.  Two backends ship:
     only when numpy imports; resolving it without numpy raises
     ``RuntimeError`` with the import failure.
 
-``loop`` also carries the optional decision kernel
-``bidirectional_bounded_path``, which has no numpy twin (the field is
-``None`` there and on ``auto``; consumers call it on the backend
-:meth:`KernelBackend.resolve` returns and fall back to the forward kernels
-without it).
+``loop`` also carries two optional kernels with no numpy twin: the
+decision kernel ``bidirectional_bounded_path`` and ``multi_target_tree``
+(a multi-target search that also returns its shortest-path tree).  The
+fields are ``None`` there and on ``auto``; consumers call them on the
+backend :meth:`KernelBackend.resolve` returns and fall back without them
+(to the forward kernels, and to searching every verification source).
 
 The default is ``auto``: a dispatching backend that picks ``numpy`` for CSR
 snapshots with at least :data:`AUTO_NODE_THRESHOLD` nodes (where the array
@@ -75,7 +76,9 @@ class KernelBackend:
     to per-query calls of the batched ones, and to the forward bounded
     kernels for ``bidirectional_bounded_path`` (the decision kernel of
     :func:`repro.paths.kernels.bidirectional_bounded_path_csr`, which only
-    ``loop`` provides).
+    ``loop`` provides), and to unmemoised verification sweeps without
+    ``multi_target_tree`` (:func:`repro.paths.kernels.multi_target_tree_csr`,
+    also ``loop`` only).
     """
 
     name: str
@@ -89,6 +92,7 @@ class KernelBackend:
     multi_source_sssp: Optional[Callable] = None
     multi_source_multi_target: Optional[Callable] = None
     bidirectional_bounded_path: Optional[Callable] = None
+    multi_target_tree: Optional[Callable] = None
 
     def resolve(self, csr: CSRGraph) -> "KernelBackend":
         """The concrete backend serving ``csr`` (identity for real backends)."""
@@ -179,6 +183,7 @@ register_kernel_backend(KernelBackend(
     bfs_distances_csr=_loop.bfs_distances_csr,
     bounded_bfs_csr=_loop.bounded_bfs_csr,
     bidirectional_bounded_path=_loop.bidirectional_bounded_path_csr,
+    multi_target_tree=_loop.multi_target_tree_csr,
 ))
 
 try:

@@ -93,6 +93,7 @@ class OracleStats:
 
     __slots__ = ("metrics", "_queries", "_distance_queries", "_nodes_expanded",
                  "_screen", "_screen_children", "_exact", "_band_fallbacks",
+                 "_canonical_paths",
                  "_screen_hit_rate")
 
     def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
@@ -120,6 +121,12 @@ class OracleStats:
             "oracle.band_fallbacks",
             "bidirectional decisions too close to the budget to call, "
             "re-asked of the forward kernel")
+        # Forward path-kernel queries of the exact search: the root and
+        # every branching node need the forward kernel's canonical path.
+        self._canonical_paths = self.metrics.counter(
+            "oracle.canonical_paths",
+            "forward canonical-path queries in the exact search "
+            "(fallthrough roots and branching nodes)")
         # The hit-rate histogram lives on the *process* registry: per-build
         # observations are process history, and the per-oracle component
         # registry (weakly attached) dies with the oracle — usually before
@@ -168,6 +175,10 @@ class OracleStats:
     def band_fallbacks(self) -> int:
         return self._band_fallbacks.value
 
+    @property
+    def canonical_paths(self) -> int:
+        return self._canonical_paths.value
+
     def count_query(self) -> None:
         self._queries.inc()
 
@@ -189,6 +200,9 @@ class OracleStats:
 
     def count_band_fallback(self) -> None:
         self._band_fallbacks.inc()
+
+    def count_canonical_path(self) -> None:
+        self._canonical_paths.inc()
 
     def screen_outcomes_with(
             self, extra: Optional[Mapping[str, float]] = None) -> Dict[str, int]:
@@ -411,6 +425,7 @@ class BranchAndBoundOracle(FaultCheckOracle):
             return list(current)
         backend = self.kernels.resolve(csr)
         vertex_mask, edge_mask = model.kernel_masks(mask)
+        self.stats.count_canonical_path()
         distance, index_path = backend.bounded_dijkstra_path_csr(
             csr, s, t, budget, vertex_mask, edge_mask)
         if distance > budget:
@@ -551,8 +566,10 @@ class TieredOracle(BranchAndBoundOracle):
 
     Outcomes land on the ``oracle.screen{outcome=}`` counter ("accept",
     "reject", "fallthrough"); fallthroughs also count ``oracle.exact``,
-    band re-asks count ``oracle.band_fallbacks``, and the per-build hit
-    rate feeds the ``oracle.screen_hit_rate`` histogram.
+    band re-asks count ``oracle.band_fallbacks``, the exact search's
+    forward canonical-path queries (roots and branching nodes) count
+    ``oracle.canonical_paths``, and the per-build hit rate feeds the
+    ``oracle.screen_hit_rate`` histogram.
     """
 
     name = "tiered"

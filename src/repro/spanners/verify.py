@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.faults.adversarial import stretch_between_csr
+from repro.faults.adversarial import SourceTrees, source_trees, stretch_between_csr
 from repro.faults.enumeration import count_fault_sets, enumerate_fault_sets, sample_fault_sets
 from repro.faults.models import FaultModel, FaultSet, get_fault_model
 from repro.graph.core import Graph, Node
@@ -170,6 +170,8 @@ class _VerifyContext:
     fault_model: str
     threshold: float
     kernel: Optional[str] = None
+    #: Built once by the caller (:func:`source_trees`); workers never rebuild it.
+    memo: Optional[SourceTrees] = None
 
 
 def _verify_chunk(ctx: _VerifyContext, chunk: List) -> ChunkVerdict:
@@ -185,7 +187,7 @@ def _verify_chunk(ctx: _VerifyContext, chunk: List) -> ChunkVerdict:
     for faults in chunk:
         checked += 1
         value = stretch_between_csr(ctx.csr_g, ctx.csr_h, model, list(faults),
-                                    kernel=ctx.kernel)
+                                    memo=ctx.memo, kernel=ctx.kernel)
         if value > worst:
             worst = value
         if value > ctx.threshold:
@@ -233,6 +235,18 @@ def is_ft_spanner(original: Graph, subgraph: Graph, stretch: float, max_faults: 
     The exhaustive mode still enumerates every size, as Definition 2
     quantifies over ``|F| <= f``.  Both graphs must be :class:`Graph`
     instances (views raise ``TypeError``).
+
+    Before the sweep, the calling process builds the verify memo
+    (:func:`~repro.faults.adversarial.source_trees`: one search per source
+    in the unfaulted ``H``, cached on ``H``'s snapshot) and ships it to
+    every chunk, so a fault set re-searches only the sources whose
+    recorded shortest paths it removes an element from.  That is exact,
+    not an approximation: the kernels' labels are minima of left-to-right
+    float sums, ``fl(a + w)`` is monotone, and removing elements only
+    removes paths, so a fault set that spares a recorded path leaves its
+    distance unchanged to the last bit.  The report is identical to
+    searching every source; without the tree kernel (numpy) every source
+    is searched.
     """
     if stretch < 1:
         raise ValueError("stretch must be at least 1")
@@ -265,7 +279,8 @@ def is_ft_spanner(original: Graph, subgraph: Graph, stretch: float, max_faults: 
         resolved = get_backend(backend, workers)
         context = _VerifyContext(csr_g=csr_g, csr_h=csr_h,
                                  fault_model=model.name, threshold=threshold,
-                                 kernel=get_kernels(kernel).name)
+                                 kernel=get_kernels(kernel).name,
+                                 memo=source_trees(csr_g, csr_h, model, kernel))
         chunks = iter_chunks(candidates,
                              chunk_size_for(total, resolved.workers))
         verdict = merge_verdicts(

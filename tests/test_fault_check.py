@@ -1,5 +1,6 @@
 """Tests for the fault-check oracles (the inner decision problem of Algorithm 1)."""
 
+import dataclasses
 import math
 
 import pytest
@@ -8,7 +9,9 @@ from repro.faults.models import get_fault_model
 from repro.graph import generators
 from repro.graph.core import Graph
 from repro.graph.csr import csr_snapshot
+from repro.obs.metrics import get_registry
 from repro.paths.dijkstra import bounded_distance
+from repro.paths.registry import get_kernels
 from repro.paths.kernels import (
     bidirectional_bounded_path_csr,
     bounded_dijkstra_csr,
@@ -363,9 +366,63 @@ class TestTieredDecisionQueries:
     def test_band_fallbacks_stay_zero_on_exact_ties(self):
         graph = generators.gnm(24, 110, rng=2, connected=True)
         tiered = TieredOracle(kernel="loop")
+        # The build publishes (and zeroes) the oracle's own counters, so
+        # read the process registry's movement.
+        before = get_registry().counters()
         result = ft_greedy_spanner(graph, 3, 2, "vertex", oracle=tiered)
+        delta = get_registry().counters_delta(before)
         assert result.parameters["screen_outcomes"]["reject"] > 0
-        assert tiered.stats.band_fallbacks == 0
+        assert delta.get('oracle.screen{outcome="fallthrough"}', 0) > 0
+        assert delta.get("oracle.band_fallbacks", 0) == 0
+
+
+def _counting_kernels(calls):
+    """The loop backend with its forward path kernel counting calls."""
+    loop = get_kernels("loop")
+
+    def path_kernel(*args):
+        calls.append(args[1:3])
+        return loop.bounded_dijkstra_path_csr(*args)
+
+    return dataclasses.replace(loop, bounded_dijkstra_path_csr=path_kernel)
+
+
+class TestCanonicalPathCounter:
+    """``oracle.canonical_paths`` counts the exact search's forward
+    path-kernel queries: every call of ``bounded_dijkstra_path_csr`` an
+    exact search makes, apart from the tiered oracle's band re-asks."""
+
+    @pytest.mark.parametrize("fault_model", ["vertex", "edge"])
+    @pytest.mark.parametrize("oracle_class", [TieredOracle,
+                                              BranchAndBoundOracle])
+    def test_reconciles_with_the_path_kernel_calls(self, fault_model,
+                                                   oracle_class):
+        graph = generators.gnm(24, 110, rng=5, connected=True, weighted=True)
+        calls = []
+        oracle = oracle_class(kernel=_counting_kernels(calls))
+        before = get_registry().counters()
+        ft_greedy_spanner(graph, 3, 2, fault_model, oracle=oracle)
+        delta = get_registry().counters_delta(before)
+        canonical = delta.get("oracle.canonical_paths", 0)
+        assert canonical > 0
+        assert canonical + delta.get("oracle.band_fallbacks", 0) == len(calls)
+        if oracle_class is TieredOracle:
+            # Fallthrough roots (the bidirectional root test returns no
+            # canonical path) plus branching nodes; leaves ask _exceeds.
+            fallthroughs = delta.get('oracle.screen{outcome="fallthrough"}', 0)
+            assert fallthroughs <= canonical
+
+    def test_direct_query_counts_every_search_node(self):
+        # Two disjoint 0-3 paths under budget 5: the root branches on 4
+        # (path 0-4-3), its child on 1 (path 0-1-2-3), and that child's
+        # leaf reads inf.  Plain branch-and-bound asks the path kernel at
+        # every node, leaves included.
+        graph = Graph(edges=[(0, 1), (1, 2), (2, 3), (0, 4), (4, 3)])
+        calls = []
+        oracle = BranchAndBoundOracle(kernel=_counting_kernels(calls))
+        assert oracle.find_breaking_fault_set(graph, 0, 3, 5.0, 2,
+                                              "vertex") == frozenset({1, 4})
+        assert oracle.stats.canonical_paths == len(calls) == 3
 
 
 class TestStats:
