@@ -3,13 +3,14 @@
 FT-greedy construction asks one oracle question per candidate edge: *is there
 a fault set that breaks this pair?*  The exact :class:`BranchAndBoundOracle`
 answers every question with a full branch-and-bound search; the
-:class:`TieredOracle` (PR 8) first runs cheap sound screens — one shared root
-query with a warm same-source SSSP cache, witness replay, greedy
-disjoint-path packing — and only falls through to the exact search on the
-undecided margin.  Screens may reject early or accept with a certificate but
-never change a decision, so the two oracles build **byte-identical**
-spanners; this benchmark asserts that (same edges, same witness fault sets)
-before it reports any timing.
+:class:`TieredOracle` first runs cheap sound screens — one shared root query
+with a warm same-source SSSP cache, greedy disjoint-path packing — and only
+falls through to the exact search on the undecided margin, where a per-query
+pool of the short paths already found decides leaves and cuts subtrees
+without a kernel call.  Screens and pool may reject early or accept with a
+certificate but never change a decision, so the two oracles build
+**byte-identical** spanners; this benchmark asserts that (same edges, same
+witness fault sets) before it reports any timing.
 
 The workload is a spine-leaf fabric: a leaf/spine mesh, a dense core of
 multi-homed hosts (high path redundancy, so most candidate edges are
@@ -28,7 +29,10 @@ seconds); the full run builds the 50k-node fabric twice and takes minutes.
 The speedup assertion arms only when the exact baseline took at least
 ``MIN_BASELINE_SECONDS`` (the recorded ``speedup_asserted`` field says
 whether the gate was live), because sub-50ms baselines time mostly
-interpreter noise.
+interpreter noise.  The machine-independent companion is always asserted:
+the tiered build must issue fewer distance queries per oracle query
+(``distance_queries_per_oracle_query``) than the exact one, on any core
+count and any clock.
 """
 
 import argparse
@@ -86,6 +90,11 @@ def _result_fields(result) -> dict:
     }
 
 
+def _queries_per_check(result) -> float:
+    """Distance queries per oracle query: the build's kernel work, unclocked."""
+    return round(result.distance_queries / result.oracle_queries, 3)
+
+
 def _timed_build(graph: Graph, stretch: float, max_faults: int,
                  fault_model: str, oracle: str):
     """One construction, timed; the same run feeds the identity assertion.
@@ -128,8 +137,9 @@ def record_build_tiered(path=None, *, quick: bool = False) -> dict:
                      "branch-and-bound",
         "baseline": "BranchAndBoundOracle: exact search on every candidate",
         "tiered": "TieredOracle: shared root query + warm SSSP cache + "
-                  "witness replay + disjoint-path packing, exact search "
-                  "only on the undecided margin",
+                  "disjoint-path packing, exact search only on the "
+                  "undecided margin, its leaves and subtrees decided from "
+                  "the query's pool of short paths where it can",
         "quick": quick,
         "stretch": stretch,
         "max_faults": max_faults,
@@ -146,6 +156,12 @@ def record_build_tiered(path=None, *, quick: bool = False) -> dict:
         assert _result_fields(tiered) == _result_fields(exact), (
             f"tiered construction diverged from exact on {label}"
         )
+        per_check = {"tiered": _queries_per_check(tiered),
+                     "exact": _queries_per_check(exact)}
+        assert per_check["tiered"] < per_check["exact"], (
+            f"tiered construction asks no fewer distance queries per "
+            f"oracle query than exact on {label}: {per_check}"
+        )
         report["cases"].append({
             "case": label,
             **config,
@@ -157,6 +173,7 @@ def record_build_tiered(path=None, *, quick: bool = False) -> dict:
             "speedup": round(exact_s / tiered_s, 2),
             "screen_hit_rate": tiered.parameters.get("screen_hit_rate"),
             "screen_outcomes": tiered.parameters.get("screen_outcomes"),
+            "distance_queries_per_oracle_query": per_check,
             "spanners_identical": True,
             "witnesses_identical": True,
         })
@@ -199,6 +216,7 @@ def test_tiered_build(benchmark, small_fabric):
         small_fabric, 7.0, 2, fault_model="edge",
         oracle="tiered", kernel="numpy"))
     assert _result_fields(result) == _result_fields(expected)
+    assert _queries_per_check(result) < _queries_per_check(expected)
 
 
 if __name__ == "__main__":
@@ -211,10 +229,13 @@ if __name__ == "__main__":
     outcome = record_build_tiered(args.output, quick=args.quick)
     for case in outcome["cases"]:
         hit = case["screen_hit_rate"]
+        per_check = case["distance_queries_per_oracle_query"]
         print(f"{case['case']}: n={case['nodes']} "
               f"m={case['edges_considered']} added={case['edges_added']}: "
               f"exact {case['exact_s']}s, tiered {case['tiered_s']}s "
               f"-> {case['speedup']}x "
+              f"(distance queries per oracle query: tiered "
+              f"{per_check['tiered']} < exact {per_check['exact']}) "
               f"(screen hit rate {hit:.3f}, outcomes {case['screen_outcomes']}, "
               f"spanners+witnesses identical)")
     gate = (f"asserted >= {outcome['speedup_floor']}x"

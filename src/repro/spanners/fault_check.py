@@ -26,16 +26,18 @@ an open problem.  This module provides four oracles behind one interface:
   It exists for the runtime experiment (E8) and as the "better and simpler"
   style baseline.
 * :class:`TieredOracle` — exact, and the default (:data:`DEFAULT_ORACLE`):
-  cheap
-  *sound* screens (warm-started distance vectors shared across consecutive
-  candidates with the same source, disjoint short-path packing, replay of
-  the previous witness fault set — the Lemma 3 blocking-set material of
-  :mod:`repro.spanners.blocking`) answer most candidates outright, and only
-  the undecided margin falls through to the branch-and-bound search.  The
-  screens may certify a reject or certify the exact oracle's accept (with
-  the identical canonical witness); they never change a decision, so
-  spanners and witnesses are byte-identical to :class:`BranchAndBoundOracle`
-  (property-tested in ``tests/test_fault_check.py``).
+  cheap *sound* screens (warm-started distance vectors shared across
+  consecutive candidates with the same source, disjoint short-path packing)
+  answer most candidates outright, and only the undecided margin falls
+  through to the branch-and-bound search.  That search keeps a per-query
+  *pool* of every short path the query has found so far, and a search node
+  whose spared pooled paths admit no hitting set within its remaining
+  budget is decided without a kernel call.  The screens may certify a
+  reject or certify the exact oracle's accept (with the identical canonical
+  witness), and the pool only cuts subtrees the exact search would answer
+  ``None`` for; neither changes a decision, so spanners and witnesses are
+  byte-identical to :class:`BranchAndBoundOracle` (property-tested in
+  ``tests/test_fault_check.py``).
 
 All oracles return either a canonical fault set ``F`` witnessing the distance
 blow-up, or ``None`` when no such set exists (or was found, for the
@@ -51,8 +53,9 @@ tiered oracle asks the forward path kernel wherever the exact search
 branches on a canonical path, a cached ``sssp_dijkstra_csr`` vector for
 warm root tests, and the bidirectional decision kernel
 (``bidirectional_bounded_path``, when the backend has it) for every query
-whose only output is "exceeds the budget?" — the root test, witness replay,
-path packing and the exact search's leaves.  The ``Graph`` entry point
+whose only output is "exceeds the budget?" — the root test, path packing
+and the exact search's leaves that the path pool leaves undecided.  The
+``Graph`` entry point
 :meth:`FaultCheckOracle.find_breaking_fault_set` only resolves that
 snapshot; anything that is not a ``Graph`` (an
 :class:`~repro.graph.views.ExclusionView`, a duck-typed double) has no
@@ -62,7 +65,7 @@ snapshot and raises ``TypeError``.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from repro.faults.enumeration import enumerate_fault_sets
 from repro.faults.models import FaultModel, FaultSet, get_fault_model
@@ -93,7 +96,7 @@ class OracleStats:
 
     __slots__ = ("metrics", "_queries", "_distance_queries", "_nodes_expanded",
                  "_screen", "_screen_children", "_exact", "_band_fallbacks",
-                 "_canonical_paths",
+                 "_canonical_paths", "_pool_hits",
                  "_screen_hit_rate")
 
     def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
@@ -127,6 +130,10 @@ class OracleStats:
             "oracle.canonical_paths",
             "forward canonical-path queries in the exact search "
             "(fallthrough roots and branching nodes)")
+        self._pool_hits = self.metrics.counter(
+            "oracle.pool_hits",
+            "exact-search leaves and subtrees decided from the query's "
+            "pool of short paths, without a kernel call")
         # The hit-rate histogram lives on the *process* registry: per-build
         # observations are process history, and the per-oracle component
         # registry (weakly attached) dies with the oracle — usually before
@@ -179,6 +186,10 @@ class OracleStats:
     def canonical_paths(self) -> int:
         return self._canonical_paths.value
 
+    @property
+    def pool_hits(self) -> int:
+        return self._pool_hits.value
+
     def count_query(self) -> None:
         self._queries.inc()
 
@@ -203,6 +214,9 @@ class OracleStats:
 
     def count_canonical_path(self) -> None:
         self._canonical_paths.inc()
+
+    def count_pool_hit(self) -> None:
+        self._pool_hits.inc()
 
     def screen_outcomes_with(
             self, extra: Optional[Mapping[str, float]] = None) -> Dict[str, int]:
@@ -432,6 +446,14 @@ class BranchAndBoundOracle(FaultCheckOracle):
             return list(current)
         if remaining == 0:
             return None
+        return self._branch(csr, source, target, s, t, budget, remaining,
+                            model, current, mask, backend, index_path)
+
+    def _branch(self, csr: CSRGraph, source: Node, target: Node, s: int,
+                t: int, budget: float, remaining: int, model: FaultModel,
+                current: List, mask: bytearray, backend,
+                index_path: List[int]) -> Optional[List]:
+        """Try each element of a node's canonical path as the next fault."""
         node_of = csr.node_of
         path = [node_of[index] for index in index_path]
         elements = self._path_elements(path, source, target, model)
@@ -513,6 +535,78 @@ class BranchAndBoundOracle(FaultCheckOracle):
 _BAND = 1e-9
 
 
+def has_hitting_set(sets: List[FrozenSet[int]], size: int) -> bool:
+    """Whether some ``size`` elements (or fewer) meet every set in ``sets``.
+
+    A bounded search: any hitting set contains an element of the smallest
+    set, so branching on each of its elements and recursing with one
+    element fewer explores every candidate; at ``size == 1`` the question
+    is whether all the sets share an element.  An empty set can never be
+    hit.  The tiered oracle asks it with ``size <= f`` over its handful of
+    pooled paths, so the ``O(L^size)`` worst case stays tiny.
+    """
+    if not sets:
+        return True
+    if size <= 0:
+        return False
+    smallest = min(sets, key=len)
+    if size == 1:
+        return bool(smallest.intersection(*sets))
+    for element in smallest:
+        if has_hitting_set([other for other in sets if element not in other],
+                           size - 1):
+            return True
+    return False
+
+
+class _PathPool:
+    """The short ``s``–``t`` paths one tiered query has found so far.
+
+    Every path in the pool was found live under some fault mask and has a
+    left-to-right length ``<= budget``, so under *any* mask that spares its
+    elements the forward kernel reads ``<= budget`` too (the labels along
+    the path only round down to it; see
+    :func:`~repro.paths.kernels.path_length_csr`).  A path is kept as the
+    frozenset of its faultable mask indices: internal vertex indices under
+    vertex faults, edge ids under edge faults.  The pool lives for one
+    query: the next query has other endpoints, budget or snapshot.
+    """
+
+    __slots__ = ("paths", "_seen", "_edge_index")
+
+    def __init__(self, csr: CSRGraph, model: FaultModel) -> None:
+        self.paths: List[FrozenSet[int]] = []
+        self._seen: set = set()
+        self._edge_index = None if model.uses_vertex_mask else csr.edge_index
+
+    def add(self, index_path: List[int]) -> None:
+        edge_index = self._edge_index
+        if edge_index is None:
+            key = frozenset(index_path[1:-1])
+        else:
+            key = frozenset(edge_index[(a, b) if a < b else (b, a)]
+                            for a, b in zip(index_path, index_path[1:]))
+        if key not in self._seen:
+            self._seen.add(key)
+            self.paths.append(key)
+
+    def spared(self, faulted: set) -> List[FrozenSet[int]]:
+        """The pooled paths no element of ``faulted`` lies on."""
+        return [path for path in self.paths if faulted.isdisjoint(path)]
+
+    def decides(self, faulted: set, remaining: int) -> bool:
+        """Whether every ``remaining``-extension of ``faulted`` stays within budget.
+
+        True when the spared paths admit no hitting set of size
+        ``<= remaining``: every extension misses a pooled path, which then
+        keeps the forward distance ``<= budget``.  At a leaf that is "some
+        pooled path is spared".
+        """
+        if not remaining:
+            return any(faulted.isdisjoint(path) for path in self.paths)
+        return not has_hitting_set(self.spared(faulted), remaining)
+
+
 class TieredOracle(BranchAndBoundOracle):
     """Exact oracle with certified screens in front of the branch-and-bound search.
 
@@ -536,14 +630,7 @@ class TieredOracle(BranchAndBoundOracle):
        bounded query would too and return ``model.canonical([])`` — the
        screen returns that same empty canonical witness.  Otherwise, with
        ``f = 0`` the exact search would reject; the screen rejects.
-    3. **Witness replay** (the Lemma 3 blocking-set material of
-       :mod:`repro.spanners.blocking`) — the previous accept's witness fault
-       set is retried with ``|F|`` byte writes and one decision query.  If
-       it still pushes the distance beyond the budget, a breaking fault set
-       *exists*, so path packing cannot possibly certify a reject: the
-       query goes straight to the exact search (which alone produces the
-       canonical witness).
-    4. **Disjoint short-path packing** — greedily pack element-disjoint
+    3. **Disjoint short-path packing** — greedily pack element-disjoint
        ``u``–``v`` paths of length ``≤ budget``: each found path has its
        faultable elements masked before the next decision query, and the
        root test's path serves as the first.  ``f + 1`` such paths (or any
@@ -552,13 +639,25 @@ class TieredOracle(BranchAndBoundOracle):
        must answer ``None``.  Costs at most ``f + 1`` queries, against the
        exact search's ``O(L^f)``.
 
-    A fallthrough runs the inherited search (:meth:`_exact_from_root`): its
-    root and internal nodes branch on the canonical paths of the forward
-    path kernel (``bounded_dijkstra_path_csr``), so witnesses match the
-    plain exact oracle's; only its leaves, where nothing but the
-    ``> budget`` verdict is read, become decision queries.
+    A fallthrough runs the branch-and-bound search (:meth:`_exact_from_root`)
+    over a per-query **path pool** (:class:`_PathPool`): every live short
+    path the query has met — the root test's, packing's, each branching
+    node's canonical path and each leaf's "within" path — as the set of its
+    faultable mask indices.  A search node with current faults ``C`` and
+    remaining budget ``r`` first asks the pool: if the pooled paths ``C``
+    spares admit no hitting set of size ``≤ r`` (:func:`has_hitting_set`;
+    at a leaf, if any pooled path survives), every extension ``F'`` with
+    ``|F'| ≤ r`` misses a pooled path, which stays live in
+    ``H \\ (C ∪ F')`` with left-to-right length ``≤ budget``; the forward
+    kernel then reads ``≤ budget`` throughout the subtree, so the plain
+    search's subtree answers ``None`` and the node returns ``None`` with no
+    kernel call.  Nodes the pool cannot decide run exactly as in the plain
+    search: branching nodes branch on the forward path kernel's canonical
+    path (``bounded_dijkstra_path_csr``), so witnesses match the plain exact
+    oracle's, and leaves, where nothing but the ``> budget`` verdict is
+    read, become decision queries.
 
-    Decision queries (screens 2–4 and the leaves) go through
+    Decision queries (screens 2–3 and the leaves) go through
     :meth:`_exceeds`: the bidirectional kernel
     (``bidirectional_bounded_path``) where the backend has one, with a band
     of :data:`_BAND` around the budget re-asked of the forward kernel, so
@@ -568,7 +667,8 @@ class TieredOracle(BranchAndBoundOracle):
     "reject", "fallthrough"); fallthroughs also count ``oracle.exact``,
     band re-asks count ``oracle.band_fallbacks``, the exact search's
     forward canonical-path queries (roots and branching nodes) count
-    ``oracle.canonical_paths``, and the per-build hit rate feeds the
+    ``oracle.canonical_paths``, nodes the pool decides count
+    ``oracle.pool_hits``, and the per-build hit rate feeds the
     ``oracle.screen_hit_rate`` histogram.
     """
 
@@ -586,11 +686,11 @@ class TieredOracle(BranchAndBoundOracle):
         self._sssp_key: Optional[Tuple] = None
         self._sssp_dist: Optional[List[float]] = None
         self._previous_key: Optional[Tuple] = None
-        #: Most recent non-empty exact witness, replayed by screen 3.
-        self._recent_witness: Optional[List] = None
-        # Reusable packing/replay mask (MaskBuffer discipline: writes are
-        # tracked and cleared, so masking costs O(elements), not O(n)).
+        # Reusable packing mask (MaskBuffer discipline: writes are tracked
+        # and cleared, so masking costs O(elements), not O(n)).
         self._scratch: Optional[bytearray] = None
+        #: Short paths of the query in flight (replaced by every query).
+        self._pool: Optional[_PathPool] = None
 
     def find_breaking_fault_set_csr(self, csr: CSRGraph, source: Node,
                                     target: Node, budget: float,
@@ -625,16 +725,16 @@ class TieredOracle(BranchAndBoundOracle):
             # the same verdict and returns the empty canonical witness.
             self.stats.count_screen("accept")
             return model.canonical([])
+        self._pool = _PathPool(csr, model)
+        if root_path is not None:
+            self._pool.add(root_path)
         if max_faults == 0:
             # Root distance within budget with no fault budget left: the
             # exact search answers None from its root.
             self.stats.count_screen("reject")
             return None
-        straight_to_exact = self._witness_replays(
-            csr, source, target, s, t, budget, max_faults, model)
-        if not straight_to_exact and self._packs_disjoint_paths(
-                csr, source, target, s, t, budget, max_faults, model,
-                root_path):
+        if self._packs_disjoint_paths(csr, source, target, s, t, budget,
+                                      max_faults, model, root_path):
             # f+1 element-disjoint short paths (or one unfaultable path):
             # every fault set of size <= f leaves a short path intact, so
             # the exact search must reject.
@@ -644,8 +744,6 @@ class TieredOracle(BranchAndBoundOracle):
         self.stats.count_exact()
         found = self._exact_from_root(csr, source, target, s, t, budget,
                                       max_faults, model, root_path)
-        if found:
-            self._recent_witness = list(found)
         return model.canonical(found) if found is not None else None
 
     # ------------------------------------------------------------- queries
@@ -658,7 +756,8 @@ class TieredOracle(BranchAndBoundOracle):
         Returns ``(exceeded, index_path)``.  When not exceeded,
         ``index_path`` is a live ``s``–``t`` path whose left-to-right length
         is ``<= budget``: the forward kernel reads ``<= budget`` under these
-        masks and under any larger mask that spares the path.
+        masks and under any larger mask that spares the path, which is what
+        lets the callers pool it.
 
         The bidirectional kernel answers at ``budget·(1 + _BAND)``.  ``inf``
         proves "exceeded" (see :data:`_BAND`).  A path proves "within" when
@@ -691,20 +790,60 @@ class TieredOracle(BranchAndBoundOracle):
                     s: Optional[int], t: Optional[int], budget: float,
                     remaining: int, model: FaultModel,
                     current: List, mask: bytearray) -> Optional[List]:
-        """The inherited search node, with leaves asked of :meth:`_exceeds`.
+        """The inherited search node, asking the path pool before any kernel.
 
-        A ``remaining == 0`` node only reads whether the distance exceeds
-        the budget, and :meth:`_exceeds` gives exactly that verdict; the
-        nodes that branch keep the forward kernel's canonical path.
+        A node the pool decides returns ``None`` (see the class docstring).
+        Otherwise a ``remaining == 0`` node only reads whether the distance
+        exceeds the budget, and :meth:`_exceeds` gives exactly that
+        verdict; a branching node pools and branches on the forward
+        kernel's canonical path.
         """
-        if remaining or s is None or t is None:
-            return super()._search_csr(csr, source, target, s, t, budget,
-                                       remaining, model, current, mask)
+        if self._pool.decides(set(model.mask_indices(csr, current)),
+                              remaining):
+            self.stats.count_pool_hit()
+            return None
         self.stats.count_nodes_expanded()
+        backend = self.kernels.resolve(csr)
         vertex_mask, edge_mask = model.kernel_masks(mask)
-        exceeded, _ = self._exceeds(self.kernels.resolve(csr), csr, s, t,
-                                    budget, vertex_mask, edge_mask)
-        return list(current) if exceeded else None
+        if not remaining:
+            exceeded, index_path = self._exceeds(backend, csr, s, t, budget,
+                                                 vertex_mask, edge_mask)
+            if exceeded:
+                return list(current)
+            self._pool.add(index_path)
+            return None
+        self.stats.count_distance_query()
+        self.stats.count_canonical_path()
+        distance, index_path = backend.bounded_dijkstra_path_csr(
+            csr, s, t, budget, vertex_mask, edge_mask)
+        if distance > budget:
+            return list(current)
+        self._pool.add(index_path)
+        return self._branch(csr, source, target, s, t, budget, remaining,
+                            model, current, mask, backend, index_path)
+
+    def _fused_leaf_search(self, csr: CSRGraph, s: int, t: int, budget: float,
+                           model: FaultModel, elements: List, current: List,
+                           mask: bytearray, backend) -> Optional[List]:
+        """The inherited fused leaf sweep, over the leaves the pool leaves open.
+
+        A leaf the pool decides reads "within" and is dropped from the
+        sweep; the first remaining
+        leaf beyond the budget is the serial loop's first hit, because
+        every dropped leaf before it answers ``None``.
+        """
+        faulted = set(model.mask_indices(csr, current))
+        undecided = []
+        for element in elements:
+            index = model.mask_indices(csr, (element,))[0]
+            if self._pool.decides(faulted | {index}, 0):
+                self.stats.count_pool_hit()
+            else:
+                undecided.append(element)
+        if not undecided:
+            return None
+        return super()._fused_leaf_search(csr, s, t, budget, model, undecided,
+                                          current, mask, backend)
 
     # ------------------------------------------------------------- screens
     def _root_query(self, csr: CSRGraph, s: int, t: int,
@@ -745,12 +884,14 @@ class TieredOracle(BranchAndBoundOracle):
         Without a bidirectional kernel the root test's path came from the
         forward path kernel — exactly the path
         :meth:`BranchAndBoundOracle._search_csr`'s root would branch on — so
-        the root node is replayed without re-issuing its query.  A
+        the root node branches on it without re-issuing its query.  A
         bidirectional path (or none, after a warm-cache read) is not that
         canonical path: the search then starts from scratch and pays the
         root's forward query itself.  Either way the children recurse
         through ``_search_csr``, so the found fault set is byte-identical to
-        the plain exact oracle's.
+        the plain exact oracle's.  The pool never decides the root: packing
+        failed, so it holds at most ``f`` disjoint paths, which ``f``
+        elements hit.
         """
         mask = model.new_mask(csr)
         backend = self.kernels.resolve(csr)
@@ -758,65 +899,14 @@ class TieredOracle(BranchAndBoundOracle):
             return self._search_csr(csr, source, target, s, t, budget,
                                     max_faults, model, [], mask)
         self.stats.count_nodes_expanded()
-        node_of = csr.node_of
-        elements = self._path_elements([node_of[i] for i in root_path],
-                                       source, target, model)
-        if (max_faults == 1 and len(elements) > 1
-                and backend.multi_source_multi_target is not None):
-            return self._fused_leaf_search(csr, s, t, budget, model, elements,
-                                           [], mask, backend)
-        current: List = []
-        for element in elements:
-            index = model.mask_indices(csr, (element,))[0]
-            current.append(element)
-            mask[index] = 1
-            result = self._search_csr(csr, source, target, s, t, budget,
-                                      max_faults - 1, model, current, mask)
-            mask[index] = 0
-            current.pop()
-            if result is not None:
-                return result
-        return None
+        return self._branch(csr, source, target, s, t, budget, max_faults,
+                            model, [], mask, backend, root_path)
 
     def _scratch_mask(self, csr: CSRGraph, model: FaultModel) -> bytearray:
         width = csr.num_nodes if model.uses_vertex_mask else csr.num_edges
         if self._scratch is None or len(self._scratch) != width:
             self._scratch = model.new_mask(csr)
         return self._scratch
-
-    def _witness_replays(self, csr: CSRGraph, source: Node, target: Node,
-                         s: int, t: int, budget: float, max_faults: int,
-                         model: FaultModel) -> bool:
-        """Whether the previous witness fault set breaks this pair too.
-
-        ``True`` certifies that *some* breaking fault set of size
-        ``≤ max_faults`` exists, so the packing screen is skipped and the
-        exact search (the only producer of canonical witnesses) runs
-        directly.  ``False`` is always safe — it only means "screen on".
-        """
-        witness = self._recent_witness
-        if witness is None or len(witness) > max_faults:
-            return False
-        if model.uses_vertex_mask and (source in witness or target in witness):
-            # A fault set for this pair may not contain its own endpoints.
-            return False
-        mask = self._scratch_mask(csr, model)
-        indices = model.mask_indices(csr, witness)
-        if len(indices) != len(witness):
-            # Elements unknown to this snapshot were dropped (possible under
-            # dynamic deletions); the smaller set is still a valid
-            # certificate, but skip the stale witness entirely.
-            for index in indices:
-                mask[index] = 0
-            return False
-        for index in indices:
-            mask[index] = 1
-        vertex_mask, edge_mask = model.kernel_masks(mask)
-        exceeded, _ = self._exceeds(self.kernels.resolve(csr), csr, s, t,
-                                    budget, vertex_mask, edge_mask)
-        for index in indices:
-            mask[index] = 0
-        return exceeded
 
     def _packs_disjoint_paths(self, csr: CSRGraph, source: Node, target: Node,
                               s: int, t: int, budget: float, max_faults: int,
@@ -846,6 +936,7 @@ class TieredOracle(BranchAndBoundOracle):
                         backend, csr, s, t, budget, vertex_mask, edge_mask)
                     if exceeded:
                         return False
+                    self._pool.add(index_path)
                 path = [node_of[index] for index in index_path]
                 elements = self._path_elements(path, source, target, model)
                 if not elements:

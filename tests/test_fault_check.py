@@ -1,6 +1,7 @@
 """Tests for the fault-check oracles (the inner decision problem of Algorithm 1)."""
 
 import dataclasses
+import itertools
 import math
 
 import pytest
@@ -26,6 +27,7 @@ from repro.spanners.fault_check import (
     available_oracles,
     describe_oracles,
     get_oracle,
+    has_hitting_set,
     oracle_name,
 )
 from repro.spanners.ft_greedy import ft_greedy_spanner
@@ -187,8 +189,8 @@ class TestTieredOracle:
         graph = generators.gnm(14, 42, rng=7, connected=True, weighted=True)
         tiered = TieredOracle()
         bnb = BranchAndBoundOracle()
-        # Repeated sources back-to-back hit the warm SSSP cache and witness
-        # replay; source changes exercise their invalidation.
+        # Repeated sources back-to-back hit the warm SSSP cache; source
+        # changes exercise its invalidation.
         pairs = [(0, 8), (0, 11), (0, 5), (3, 9), (3, 12), (6, 2), (6, 13)]
         for budget in (2.0, 4.0):
             for source, target in pairs:
@@ -349,6 +351,9 @@ class TestTieredDecisionQueries:
             assert bidirectional_bounded_path_csr(csr, 0, target,
                                                   budget)[0] == budget
         # A second, exactly-short route: with it the pair needs one fault.
+        # The planted path lies in the band and is re-asked of the forward
+        # kernel; it must not join the tiered search's path pool, or the
+        # leaf that faults "c" would read "within".
         graph.add_edge(0, "c", budget / 2)
         graph.add_edge("c", target, budget / 2)
         # Pinned to the backend that carries the bidirectional kernel (the
@@ -443,3 +448,134 @@ class TestStats:
             exhaustive.find_breaking_fault_set(graph, source, target, 3.0, 2, "vertex")
             bnb.find_breaking_fault_set(graph, source, target, 3.0, 2, "vertex")
         assert bnb.stats.distance_queries < exhaustive.stats.distance_queries
+
+
+def _brute_force_hitting_set(sets, size):
+    universe = sorted(set().union(*sets)) if sets else []
+    return any(all(any(element in chosen for element in path) for path in sets)
+               for count in range(size + 1)
+               for chosen in map(set, itertools.combinations(universe, count)))
+
+
+#: Both kernel backends: the loop one carries the bidirectional decision
+#: kernel (leaves pool their paths), the numpy one fuses each node's leaves
+#: into one sweep (only canonical paths are pooled).
+KERNELS = ["loop", "numpy"]
+
+
+class TestPathPool:
+    """The tiered exact search decides nodes from the short paths its query
+    has already found; it must never decide one differently from the plain
+    branch-and-bound search, and the pool must not outlive its query."""
+
+    def test_hitting_set_matches_brute_force(self):
+        rng = RandomSource(31)
+        for _ in range(400):
+            sets = [frozenset(rng.randint(0, 6)
+                              for _ in range(rng.randint(0, 4)))
+                    for _ in range(rng.randint(0, 5))]
+            for size in range(4):
+                assert has_hitting_set(sets, size) == \
+                    _brute_force_hitting_set(sets, size), (sets, size)
+
+    def test_hitting_set_edge_cases(self):
+        assert has_hitting_set([], 0)
+        assert not has_hitting_set([frozenset()], 3)
+        assert not has_hitting_set([frozenset({1})], 0)
+        # Pairwise intersecting, no common element: two elements, not one.
+        triangle = [frozenset({1, 2}), frozenset({2, 3}), frozenset({1, 3})]
+        assert not has_hitting_set(triangle, 1)
+        assert has_hitting_set(triangle, 2)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("fault_model", ["vertex", "edge"])
+    @pytest.mark.parametrize("max_faults", [1, 2, 3])
+    def test_direct_answers_equal_branch_and_bound(self, kernel, fault_model,
+                                                   max_faults):
+        graph = generators.gnm(18, 54, rng=40 + max_faults, connected=True,
+                               weighted=True)
+        csr = csr_snapshot(graph)
+        # One tiered instance across every query: a pool that leaked from
+        # one query into the next would answer with another pair's paths.
+        tiered = TieredOracle(kernel=kernel)
+        bnb = BranchAndBoundOracle(kernel=kernel)
+        pairs = [(0, 9), (0, 13), (2, 7), (5, 16), (5, 1), (11, 4), (17, 3)]
+        for source, target in pairs:
+            root = bounded_dijkstra_csr(csr, csr.index_of[source],
+                                        csr.index_of[target], math.inf)
+            # Below the root distance the root accepts; at and above it
+            # the screens and the exact search decide.
+            for budget in (0.9 * root, root, 1.6 * root, 2.5 * root):
+                a = tiered.find_breaking_fault_set(
+                    graph, source, target, budget, max_faults, fault_model)
+                b = bnb.find_breaking_fault_set(
+                    graph, source, target, budget, max_faults, fault_model)
+                assert a == b, (source, target, budget)
+        assert tiered.stats.exact_checks > 0
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("fault_model", ["vertex", "edge"])
+    @pytest.mark.parametrize("max_faults", [1, 2, 3])
+    def test_builds_equal_branch_and_bound(self, kernel, fault_model,
+                                           max_faults):
+        graph = generators.gnm(22, 90, rng=60 + max_faults, connected=True,
+                               weighted=True)
+        tiered = ft_greedy_spanner(graph, 3, max_faults, fault_model,
+                                   oracle="tiered", kernel=kernel)
+        exact = ft_greedy_spanner(graph, 3, max_faults, fault_model,
+                                  oracle="branch-and-bound", kernel=kernel)
+        assert list(tiered.spanner.edges()) == list(exact.spanner.edges())
+        assert tiered.witness_fault_sets == exact.witness_fault_sets
+
+    def test_planted_pairwise_intersecting_paths_cut_a_subtree(self):
+        # Budget 6 from s to t.  The canonical root path s-d1-d2-t has two
+        # elements; besides it the short paths are s-a-b-t, s-c-b-t and
+        # s-a-c-t (pairwise intersecting, no common vertex) and s-a-c-b-t.
+        # Only two element-disjoint short paths fit, so packing for f = 2
+        # fails; the search under d1 pools all four, and the r = 1 subtree
+        # under d2 is cut: no single vertex hits three paths that share no
+        # vertex.  s-c-t (length 7) is not short.
+        graph = Graph()
+        for u, v, w in [("s", "d1", 1.0), ("d1", "d2", 1.0), ("d2", "t", 1.0),
+                        ("s", "a", 2.0), ("a", "b", 2.0), ("b", "t", 2.0),
+                        ("s", "c", 3.5), ("c", "b", 0.5), ("a", "c", 0.5),
+                        ("c", "t", 3.5)]:
+            graph.add_edge(u, v, w)
+        tiered = TieredOracle(kernel="loop")
+        bnb = BranchAndBoundOracle(kernel="loop")
+        answer = tiered.find_breaking_fault_set(graph, "s", "t", 6.0, 2,
+                                                "vertex")
+        assert answer is None
+        assert bnb.find_breaking_fault_set(graph, "s", "t", 6.0, 2,
+                                           "vertex") is None
+        assert tiered.stats.screen_outcomes == {"fallthrough": 1}
+        assert tiered.stats.pool_hits == 1
+        # Root, d1's node and its three leaves; d2's node and its three
+        # leaves were never searched.
+        assert tiered.stats.nodes_expanded == 5
+        assert bnb.stats.nodes_expanded == 9
+
+    def test_decision_query_needs_no_query_in_flight(self):
+        # ``_exceeds`` is a pure verdict: asked on a fresh oracle, before
+        # any query has made a pool (as ``benchmarks/bench_kernels.py``
+        # does), it must answer "within" as well as "exceeded".
+        graph = generators.gnm(30, 90, rng=5, connected=True, weighted=True)
+        csr = csr_snapshot(graph)
+        oracle = TieredOracle(kernel="loop")
+        loop = get_kernels("loop")
+        s, t = csr.index_of[0], csr.index_of[17]
+        root = bounded_dijkstra_csr(csr, s, t, math.inf)
+        exceeded, path = oracle._exceeds(loop, csr, s, t, 2 * root, None, None)
+        assert not exceeded and path[0] == s and path[-1] == t
+        assert oracle._exceeds(loop, csr, s, t, 0.5 * root, None, None) \
+            == (True, None)
+
+    def test_pool_hits_on_a_build_vft_shaped_graph(self):
+        # The certified-build workload's shape: weighted G(n, 5n), k = 5,
+        # f = 2 under vertex faults, at a smaller n.
+        graph = generators.gnm(120, 600, rng=8, connected=True, weighted=True)
+        before = get_registry().counters()
+        ft_greedy_spanner(graph, 5, 2, "vertex", oracle="tiered")
+        delta = get_registry().counters_delta(before)
+        assert delta.get('oracle.screen{outcome="fallthrough"}', 0) > 0
+        assert delta.get("oracle.pool_hits", 0) > 0
