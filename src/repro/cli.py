@@ -661,7 +661,7 @@ def _cmd_update(args: argparse.Namespace) -> int:
 
 def _cmd_replay(args: argparse.Namespace) -> int:
     from repro.build import build
-    from repro.dynamic import DynamicSpanner, UpdateJournal, certify
+    from repro.dynamic import DynamicSpanner, UpdateJournal
 
     graph = load_graph_auto(args.input)
     journal = UpdateJournal.load(args.journal)
@@ -696,7 +696,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         maintained_record = maintained.certify(
             method=args.method, samples=args.samples, rng=args.seed)
         rebuilt = build(final, spec)
-        rebuilt_report = certify(
+        rebuilt_report = is_ft_spanner(
             final, rebuilt.spanner, spec.stretch, spec.max_faults,
             maintained.model.name, method=args.method, samples=args.samples,
             rng=args.seed, workers=spec.workers, backend=spec.backend)

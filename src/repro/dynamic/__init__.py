@@ -16,8 +16,9 @@ get re-weighted.  This package maintains a valid ``f``-fault-tolerant
   configured, byte-identical to the serial sweep);
 * :mod:`repro.dynamic.repair` — the dirty-region filter (two SSSP runs
   bound which rejected edges can flip), keyed on :attr:`Graph.version`
-  deltas, plus the :func:`~repro.dynamic.repair.certify` ground-truth hook
-  (= :func:`~repro.spanners.verify.is_ft_spanner`);
+  deltas, plus the :class:`~repro.dynamic.repair.CertificationRecord` that
+  ties a :func:`~repro.spanners.verify.is_ft_spanner` report to the versions
+  it saw (``DynamicSpanner.certify`` calls the static verifier directly);
 * :mod:`repro.dynamic.live` — :class:`LiveEngine`: the batched
   :class:`~repro.engine.engine.QueryEngine` over the live spanner, with
   updates atomically invalidating exactly the cached answers they obsolete.
@@ -56,7 +57,6 @@ __all__ = [
     "CertificationRecord",
     "DirtyRegion",
     "all_rejected_candidates",
-    "certify",
     "dirty_candidates",
     "DynamicSpanner",
     "UpdateOutcome",
@@ -72,7 +72,6 @@ _LAZY = {
     "CertificationRecord": "repro.dynamic.repair",
     "DirtyRegion": "repro.dynamic.repair",
     "all_rejected_candidates": "repro.dynamic.repair",
-    "certify": "repro.dynamic.repair",
     "dirty_candidates": "repro.dynamic.repair",
     "DynamicSpanner": "repro.dynamic.maintain",
     "UpdateOutcome": "repro.dynamic.maintain",

@@ -60,7 +60,6 @@ from repro.dynamic.repair import (
     Candidate,
     CertificationRecord,
     DirtyRegion,
-    certify,
     dirty_candidates,
 )
 from repro.dynamic.updates import (
@@ -81,6 +80,7 @@ from repro.runtime.merge import merge_counters
 from repro.spanners.base import SpannerResult
 from repro.spanners.fault_check import get_oracle
 from repro.spanners.ft_greedy import acceptance_sweep
+from repro.spanners.verify import is_ft_spanner
 from repro.utils.logging import get_logger
 
 _LOGGER = get_logger("dynamic.maintain")
@@ -429,13 +429,12 @@ class DynamicSpanner:
                 exhaustive_limit: int = 50_000) -> CertificationRecord:
         """Ground-truth check of the maintained spanner, sharded per the spec.
 
-        Runs :func:`repro.dynamic.repair.certify` (=
-        :func:`~repro.spanners.verify.is_ft_spanner`) with the spec's
+        Runs :func:`~repro.spanners.verify.is_ft_spanner` with the spec's
         stretch/budget/model and its ``workers``/``backend`` knobs; the
         record is appended to :attr:`certifications`.
         """
         started = time.perf_counter()
-        report = certify(
+        report = is_ft_spanner(
             self.graph, self.spanner, self.stretch, self.max_faults,
             self.model.name, method=method, samples=samples,
             rng=self.spec.seed if rng is None else rng,

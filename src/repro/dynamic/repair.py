@@ -22,11 +22,10 @@ The region is recorded as a :class:`DirtyRegion` keyed on the
 :attr:`Graph.version` delta of the mutation, so a maintenance log reads as
 "version X -> Y: these candidates were re-checked, these re-entered H".
 
-:func:`certify` is the subsystem's ground-truth hook: it re-runs
-:func:`~repro.spanners.verify.is_ft_spanner` (exhaustive where feasible,
-sampled otherwise) over the maintained spanner, sharding the fault-set sweep
-through :mod:`repro.runtime` — the same machinery the static pipeline
-trusts, so "maintained" and "built from scratch" are held to one standard.
+A :class:`CertificationRecord` ties one
+:func:`~repro.spanners.verify.is_ft_spanner` report on the maintained
+spanner to the graph and spanner versions it saw: "maintained" and "built
+from scratch" are held to one standard, the static verifier.
 """
 
 from __future__ import annotations
@@ -37,8 +36,7 @@ from typing import List, Optional, Tuple
 from repro.graph.core import EdgeTuple, Graph, Node, edge_key
 from repro.graph.csr import csr_snapshot
 from repro.paths.registry import KernelLike, get_kernels
-from repro.runtime.backend import BackendLike
-from repro.spanners.verify import FTVerificationReport, is_ft_spanner
+from repro.spanners.verify import FTVerificationReport
 
 #: A candidate replacement edge, in rejection-test order: ``(u, v, weight)``.
 Candidate = Tuple[Node, Node, float]
@@ -146,23 +144,3 @@ class CertificationRecord:
     @property
     def ok(self) -> bool:
         return self.report.ok
-
-
-def certify(graph: Graph, spanner: Graph, stretch: float, max_faults: int,
-            fault_model: str, *, method: str = "auto", samples: int = 200,
-            rng=None, exhaustive_limit: int = 50_000, workers: int = 1,
-            backend: BackendLike = None,
-            kernel: KernelLike = None) -> FTVerificationReport:
-    """Ground-truth check of the maintained spanner (sharded like the static path).
-
-    A thin, argument-for-argument wrapper over
-    :func:`repro.spanners.verify.is_ft_spanner`, kept as its own entry point
-    so the dynamic subsystem has exactly one certification surface: the
-    maintainer, the live engine, the CLI ``update --certify`` verb, and the
-    property tests all call this (and therefore all shard through the same
-    :mod:`repro.runtime` backends, serial ≡ parallel).
-    """
-    return is_ft_spanner(graph, spanner, stretch, max_faults, fault_model,
-                         method=method, samples=samples, rng=rng,
-                         exhaustive_limit=exhaustive_limit,
-                         workers=workers, backend=backend, kernel=kernel)

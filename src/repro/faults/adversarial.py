@@ -9,38 +9,32 @@ non-fault-tolerant baselines do not.
 
 Every entry point takes plain :class:`~repro.graph.core.Graph` inputs and
 evaluates each fault set as kernel masks over their CSR snapshots; views
-raise ``TypeError``.  The search is embarrassingly parallel over candidate
-fault sets, so :func:`worst_case_fault_set` and :func:`random_fault_trial`
-accept ``workers`` / ``backend`` and shard their candidate list through
-:mod:`repro.runtime`.  Results are bit-identical to the serial scan: chunks
-are contiguous slices of the candidate order, merged with the serial
-strict-``>`` update rule, and a chunk that hits the stop condition (infinite
-stretch, or the ``stop_stretch`` refutation threshold) cancels every chunk
-after it — never one before it.  Worker counter movement ships home with
-each consumed chunk, so pooled and serial searches move the same counters.
+raise ``TypeError``.  :func:`worst_case_fault_set` and
+:func:`random_fault_trial` are Definition 2's fault-set sweep
+(:func:`repro.spanners.verify.sweep_fault_sets`, shared with
+``is_ft_spanner``) with their own stop rules: the search stops at the first
+infinite stretch or the first one beyond ``stop_stretch``, the trials never
+stop.  Both accept ``workers`` / ``backend`` and shard their candidates
+through :mod:`repro.runtime` with results bit-identical to the serial scan.
 
-Every multi-fault-set entry point builds the verify memo
-(:func:`source_trees`) once in the calling process and ships it with the
-snapshots, so each fault set re-searches only the sources whose recorded
-unfaulted paths it touches (see :func:`stretch_between_csr`).
+The sweep builds the verify memo (:func:`source_trees`) once in the calling
+process and ships it with the snapshots, so each fault set re-searches only
+the sources whose recorded unfaulted paths it touches (see
+:func:`stretch_between_csr`).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.faults.enumeration import enumerate_fault_sets, sample_fault_sets
 from repro.faults.models import FaultModel, FaultSet, get_fault_model
 from repro.graph.core import Graph, Node
 from repro.graph.csr import CSRGraph, csr_snapshot
-from repro.obs.metrics import get_registry
 from repro.paths.registry import KernelLike, get_kernels
-from repro.runtime.backend import BackendLike, get_backend
-from repro.runtime.merge import ChunkArgmax, merge_argmax
-from repro.runtime.shard import chunk_size_for, iter_chunks
-from repro.utils.rng import ensure_rng
+from repro.runtime.backend import BackendLike
 
 
 def stretch_under_faults(original: Graph, spanner: Graph,
@@ -392,44 +386,6 @@ def stretch_between_csr(csr_g: CSRGraph, csr_h: CSRGraph, model: FaultModel,
                 worst = ratio
     return worst
 
-@dataclass(frozen=True)
-class _SearchContext:
-    """Picklable payload shipped once per worker for the adversarial search."""
-
-    csr_g: CSRGraph
-    csr_h: CSRGraph
-    fault_model: str
-    #: Stop scanning once a fault set's stretch strictly exceeds this (the
-    #: "first refutation" early-cancel); ``inf`` always stops the scan.
-    stop_stretch: Optional[float]
-    kernel: Optional[str] = None
-    #: Built once by the caller (:func:`source_trees`); workers never rebuild it.
-    memo: Optional[SourceTrees] = None
-
-
-def _search_chunk(ctx: _SearchContext, chunk: List) -> ChunkArgmax:
-    """Scan one chunk of candidate fault sets for the running maximum.
-
-    Mirrors the serial loop exactly: strict-``>`` updates, stop at the first
-    infinite stretch or at the first stretch beyond ``ctx.stop_stretch``.
-    """
-    model = get_fault_model(ctx.fault_model)
-    stop = ctx.stop_stretch
-    best: Optional[FaultSet] = None
-    best_value = 0.0
-    checked = 0
-    for faults in chunk:
-        checked += 1
-        value = stretch_between_csr(ctx.csr_g, ctx.csr_h, model, list(faults),
-                                    memo=ctx.memo, kernel=ctx.kernel)
-        if value > best_value:
-            best_value = value
-            best = model.canonical(faults)
-        if value == math.inf or (stop is not None and value > stop):
-            return ChunkArgmax(checked=checked, best=best,
-                               best_value=best_value, stopped=True)
-    return ChunkArgmax(checked=checked, best=best, best_value=best_value)
-
 
 def worst_case_fault_set(original: Graph, spanner: Graph,
                          fault_model: "str | FaultModel", max_faults: int,
@@ -465,54 +421,22 @@ def worst_case_fault_set(original: Graph, spanner: Graph,
     (fault_set, stretch):
         The worst fault set found and the stretch it induces.
     """
+    # A function-level import: ``repro.spanners.verify`` imports this module.
+    from repro.spanners.verify import fault_set_candidates, sweep_fault_sets
+
     csr_g, csr_h = csr_snapshot(original), csr_snapshot(spanner)
     model = get_fault_model(fault_model)
-    elements = model.all_elements(original)
-    num_sets = sum(math.comb(len(elements), size)
-                   for size in range(0, min(max_faults, len(elements)) + 1))
-
-    if method == "auto":
-        method = "exhaustive" if num_sets <= exhaustive_limit else "sampled"
-    if method not in ("exhaustive", "sampled"):
-        raise ValueError("method must be 'auto', 'exhaustive', or 'sampled'")
-
-    if method == "exhaustive":
-        candidates: Iterable = enumerate_fault_sets(elements, max_faults)
-        total = num_sets
-    else:
-        candidates = sample_fault_sets(original, model, max_faults, samples, rng=rng)
-        total = len(candidates)
-
-    resolved = get_backend(backend, workers)
-    context = _SearchContext(csr_g=csr_g, csr_h=csr_h,
-                             fault_model=model.name,
-                             stop_stretch=stop_stretch,
-                             kernel=get_kernels(kernel).name,
-                             memo=source_trees(csr_g, csr_h, model, kernel))
-    chunks = iter_chunks(candidates, chunk_size_for(total, resolved.workers))
-    outcome = merge_argmax(resolved.imap(_search_chunk, chunks, context=context,
-                                         metrics=get_registry()))
-    if outcome.best is None:
+    candidates, total, _ = fault_set_candidates(
+        original, model, max_faults, method, samples, rng, exhaustive_limit)
+    # Only an infinite stretch exceeds the largest float, so it always stops.
+    stop = (sys.float_info.max if stop_stretch is None
+            else min(sys.float_info.max, stop_stretch))
+    values, witness = sweep_fault_sets(csr_g, csr_h, model, candidates, total,
+                                       stop, workers=workers, backend=backend,
+                                       kernel=kernel)
+    if witness is None:
         return model.canonical(()), 0.0
-    return outcome.best, outcome.best_value
-
-
-@dataclass(frozen=True)
-class _TrialContext:
-    """Picklable payload for sharded random-fault trials."""
-
-    csr_g: CSRGraph
-    csr_h: CSRGraph
-    fault_model: str
-    kernel: Optional[str] = None
-    memo: Optional[SourceTrees] = None
-
-
-def _trial_chunk(ctx: _TrialContext, chunk: List) -> List[float]:
-    model = get_fault_model(ctx.fault_model)
-    return [stretch_between_csr(ctx.csr_g, ctx.csr_h, model, list(faults),
-                                memo=ctx.memo, kernel=ctx.kernel)
-            for faults in chunk]
+    return witness, max(values)
 
 
 def random_fault_trial(original: Graph, spanner: Graph,
@@ -526,19 +450,13 @@ def random_fault_trial(original: Graph, spanner: Graph,
     stream is untouched by parallelism); the stretch evaluations shard
     across the backend and concatenate back in trial order.
     """
+    from repro.spanners.verify import fault_set_candidates, sweep_fault_sets
+
     csr_g, csr_h = csr_snapshot(original), csr_snapshot(spanner)
-    rng = ensure_rng(rng)
     model = get_fault_model(fault_model)
-    fault_sets = sample_fault_sets(original, model, max_faults, trials, rng=rng)
-    resolved = get_backend(backend, workers)
-    context = _TrialContext(csr_g=csr_g, csr_h=csr_h,
-                            fault_model=model.name,
-                            kernel=get_kernels(kernel).name,
-                            memo=source_trees(csr_g, csr_h, model, kernel))
-    chunks = iter_chunks(fault_sets, chunk_size_for(len(fault_sets),
-                                                    resolved.workers))
-    values: List[float] = []
-    for chunk_values in resolved.map(_trial_chunk, chunks, context=context,
-                                     metrics=get_registry()):
-        values.extend(chunk_values)
-    return values
+    fault_sets, total, _ = fault_set_candidates(
+        original, model, max_faults, "sampled", samples=trials, rng=rng,
+        exhaustive_limit=0)
+    return sweep_fault_sets(csr_g, csr_h, model, fault_sets, total, None,
+                            workers=workers, backend=backend,
+                            kernel=kernel)[0]

@@ -9,10 +9,13 @@ compiled CSR snapshots plus a fault-model name.  Two implementations:
   reference semantics; every parallel consumer is required to produce
   bit-identical results to it (``tests/test_runtime.py`` holds the line).
 * :class:`ProcessPoolBackend` — fans chunks out over a
-  :mod:`multiprocessing` pool.  The context is pickled **once per worker**
-  (shipped through the pool initializer into a module global), so per-chunk
-  messages carry only the chunk itself; CSR snapshots are plain
-  ``dict``/``list``/``array`` containers and pickle cleanly.
+  :class:`concurrent.futures.ProcessPoolExecutor`.  The context is pickled
+  **once per worker** (shipped through the executor initializer into a
+  module global), so per-chunk messages carry only the chunk itself; CSR
+  snapshots are plain ``dict``/``list``/``array`` containers and pickle
+  cleanly.  A worker that dies mid-chunk breaks the executor, and the
+  consumer's next result raises ``BrokenProcessPool`` instead of waiting
+  forever.
 
 Both expose the same lazy, *ordered* iteration protocol (:meth:`imap`):
 results come back in chunk-submission order regardless of which worker
@@ -26,9 +29,10 @@ registry back with its result and folds it into the given registry (in
 submission order, through :func:`repro.obs.merge_counters`).  Chunks the
 consumer never pulls — speculative work past an early generator close —
 contribute nothing, so captured counters obey the same "serial prefix" rule
-as :func:`repro.runtime.merge.merge_verdicts` and parallel runs report the
-same counters as serial ones.  The serial backend ignores ``metrics``: its
-chunks run in-process, so their increments already land where they belong.
+as the fault-set sweep (:func:`repro.spanners.verify.sweep_fault_sets`) and
+parallel runs report the same counters as serial ones.  The serial backend
+ignores ``metrics``: its chunks run in-process, so their increments already
+land where they belong.
 """
 
 from __future__ import annotations
@@ -36,34 +40,35 @@ from __future__ import annotations
 import multiprocessing
 import os
 from abc import ABC, abstractmethod
+from collections import deque
+from concurrent.futures import ProcessPoolExecutor
+from itertools import islice
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Union
 
 from repro.obs.metrics import MetricsRegistry, get_registry, merge_counters
 
-#: Per-worker slot for the shipped context (set by the pool initializer).
+#: Per-worker slot for the shipped context (set by the executor initializer).
 _WORKER_CONTEXT: Any = None
 
 
 def _worker_init(context: Any) -> None:
-    """Pool initializer: stash the shared context in the worker process."""
+    """Executor initializer: stash the shared context in the worker process."""
     global _WORKER_CONTEXT
     _WORKER_CONTEXT = context
 
 
-def _worker_call(payload):
+def _worker_call(fn, chunk):
     """Run one chunk task against the worker-resident context."""
-    fn, chunk = payload
-    return fn(_WORKER_CONTEXT, chunk)
+    return fn(_WORKER_CONTEXT, chunk), None
 
 
-def _worker_call_metered(payload):
+def _worker_call_metered(fn, chunk):
     """Run one chunk task, also capturing the worker's counter movement.
 
     The before-snapshot is taken per chunk (not per worker), so the shipped
     delta is exactly this chunk's contribution no matter how chunks are
     spread over pool workers or what the forked registry inherited.
     """
-    fn, chunk = payload
     registry = get_registry()
     before = registry.counters(include_sources=True)
     result = fn(_WORKER_CONTEXT, chunk)
@@ -118,7 +123,7 @@ class SerialBackend(ExecutionBackend):
 
 
 class ProcessPoolBackend(ExecutionBackend):
-    """Fan chunks out over a :class:`multiprocessing.Pool`.
+    """Fan chunks out over a :class:`~concurrent.futures.ProcessPoolExecutor`.
 
     Parameters
     ----------
@@ -142,32 +147,40 @@ class ProcessPoolBackend(ExecutionBackend):
         self._start_method = start_method
 
     def imap(self, fn, chunks, *, context=None, metrics=None):
-        mp = (multiprocessing.get_context(self._start_method)
-              if self._start_method else multiprocessing)
-        pool = mp.Pool(self.workers, initializer=_worker_init,
-                       initargs=(context,))
+        executor = ProcessPoolExecutor(
+            self.workers,
+            mp_context=multiprocessing.get_context(self._start_method),
+            initializer=_worker_init, initargs=(context,))
+        call = _worker_call if metrics is None else _worker_call_metered
+        # A bounded window of submitted chunks keeps every worker busy while
+        # ``chunks`` is pulled lazily; futures are awaited in submission
+        # order, so results come back ordered whatever the completion order.
+        chunks = iter(chunks)
+        pending: deque = deque()
         try:
-            # Ordered imap: results come back in submission order whatever
-            # the completion order, so merges stay deterministic.  Chunk
-            # payloads already carry a worker-sized amount of work, so the
-            # pool-level chunksize stays 1.
-            if metrics is None:
-                yield from pool.imap(_worker_call,
-                                     ((fn, chunk) for chunk in chunks))
-            else:
-                for result, delta in pool.imap(
-                        _worker_call_metered,
-                        ((fn, chunk) for chunk in chunks)):
+            for chunk in islice(chunks, 2 * self.workers):
+                pending.append(executor.submit(call, fn, chunk))
+            while pending:
+                result, delta = pending.popleft().result()
+                for chunk in islice(chunks, 1):
+                    pending.append(executor.submit(call, fn, chunk))
+                if delta is not None:
                     # Fold before yielding: a consumer that closes the
                     # generator after this chunk still gets its counters,
                     # while never-consumed speculative chunks ship nothing.
                     merge_counters(metrics, delta)
-                    yield result
+                yield result
         finally:
-            # Reached on exhaustion *and* on early generator close: breaking
-            # out of the consuming loop cancels all outstanding chunks.
-            pool.terminate()
-            pool.join()
+            # Reached on exhaustion, on error *and* on early generator
+            # close: queued chunks are cancelled and running ones killed,
+            # never waited for.  The executor has no public call that kills
+            # running workers (before Python 3.14), hence ``_processes``.
+            workers = list((executor._processes or {}).values())
+            executor.shutdown(wait=False, cancel_futures=True)
+            for process in workers:
+                process.terminate()
+            for process in workers:
+                process.join()
 
 
 def usable_cpu_count() -> int:

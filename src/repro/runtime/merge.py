@@ -1,119 +1,25 @@
-"""Deterministic merges of per-chunk verdicts, witnesses, and counters.
+"""The deterministic fold for counters shipped back from chunks.
 
 Chunks are contiguous slices of a deterministic enumeration order and their
-results are consumed *in order* (see :mod:`repro.runtime.backend`), so every
-merge below reproduces exactly what the serial loop over the concatenated
-chunks would have computed:
-
-* :func:`merge_verdicts` — the verification merge: stop at the first chunk
-  holding a violation; the witness is that chunk's first violation, the
-  counters cover precisely the serial prefix (full chunks before it plus the
-  violating chunk's scanned prefix).  Chunks *after* the stopping point may
-  have been speculatively executed by a pooled backend; their results are
-  discarded, which is the documented counter-merge rule — ``checked`` always
-  means "the serial prefix", never "work performed".
-* :func:`merge_argmax` — the adversarial-search merge: keep the first
-  strictly-greater maximum in chunk order (ties resolve to the earlier
-  chunk, matching the serial ``>`` update), stopping early once a chunk
-  reports that it hit the search's stop condition.
-
-Both consume lazily and close their iterator, so pooled backends cancel
-outstanding chunks the moment the merge decides.
+results are consumed *in order* (see :mod:`repro.runtime.backend`), so a
+consumer that folds them in that order reproduces exactly what the serial
+loop over the concatenated chunks would have computed.  Each consumer folds
+its own results: the fault-set sweep of
+:func:`repro.spanners.verify.sweep_fault_sets` concatenates stretch values
+up to its stop rule, the source sweep of ``stretch_of`` takes a maximum.
 
 :func:`merge_counters` (re-exported from :mod:`repro.obs.metrics`) is the
-third member of the toolkit: the one deterministic fold for flat counter
-mappings shipped back from chunks — worker metric deltas, speculative-batch
-oracle counts, pooled audit counts — into either a plain dict or a metrics
-registry.  Counters folded through it obey the same serial-prefix rule as
-the verdict merge, because consumers fold in submission order and discard
-chunks past an early stop.
+one fold for flat counter mappings shipped back from chunks — worker metric
+deltas, speculative-batch oracle counts, pooled audit counts — into either a
+plain dict or a metrics registry.  Counters folded through it obey the
+serial-prefix rule: consumers fold in submission order and discard chunks
+past an early stop, so ``verify.fault_sets_checked`` and the other counters
+always mean "the serial prefix up to the stopping point", never "work
+performed".
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Iterator, Optional, Tuple
-
 from repro.obs.metrics import merge_counters
 
-__all__ = ["ChunkArgmax", "ChunkVerdict", "merge_argmax", "merge_counters",
-           "merge_verdicts"]
-
-
-@dataclass(frozen=True)
-class ChunkVerdict:
-    """What one verification chunk reports back.
-
-    ``checked`` is the number of fault sets the chunk actually scanned: the
-    whole chunk when clean, the prefix up to and including the first
-    violation otherwise (the worker stops there, exactly like the serial
-    loop).  ``worst`` is the maximum stretch over that scanned prefix.
-    """
-
-    checked: int
-    worst: float
-    witness: Optional[Any] = None       # canonical violating fault set
-    witness_value: float = 0.0          # stretch of the witness
-
-    @property
-    def violated(self) -> bool:
-        return self.witness is not None
-
-
-@dataclass(frozen=True)
-class ChunkArgmax:
-    """What one adversarial-search chunk reports back.
-
-    ``best`` / ``best_value`` follow the serial strict-``>`` update rule
-    *within* the chunk; ``stopped`` records that the chunk hit the search's
-    stop condition (infinite stretch, or a caller-supplied refutation
-    threshold) and quit scanning early.
-    """
-
-    checked: int
-    best: Optional[Any] = None
-    best_value: float = 0.0
-    stopped: bool = False
-
-
-def merge_verdicts(outcomes: Iterator[ChunkVerdict]) -> ChunkVerdict:
-    """Fold ordered chunk verdicts into the serial-equivalent verdict."""
-    checked = 0
-    worst = 1.0
-    try:
-        for outcome in outcomes:
-            checked += outcome.checked
-            if outcome.worst > worst:
-                worst = outcome.worst
-            if outcome.violated:
-                return ChunkVerdict(checked=checked, worst=worst,
-                                    witness=outcome.witness,
-                                    witness_value=outcome.witness_value)
-    finally:
-        close = getattr(outcomes, "close", None)
-        if close is not None:
-            close()
-    return ChunkVerdict(checked=checked, worst=worst)
-
-
-def merge_argmax(outcomes: Iterator[ChunkArgmax]) -> ChunkArgmax:
-    """Fold ordered chunk maxima into the serial-equivalent maximum."""
-    checked = 0
-    best: Optional[Any] = None
-    best_value = 0.0
-    try:
-        for outcome in outcomes:
-            checked += outcome.checked
-            # Strict >: a later chunk only wins by genuinely beating the
-            # running maximum, mirroring the serial first-max tie-break.
-            if outcome.best is not None and outcome.best_value > best_value:
-                best = outcome.best
-                best_value = outcome.best_value
-            if outcome.stopped:
-                return ChunkArgmax(checked=checked, best=best,
-                                   best_value=best_value, stopped=True)
-    finally:
-        close = getattr(outcomes, "close", None)
-        if close is not None:
-            close()
-    return ChunkArgmax(checked=checked, best=best, best_value=best_value)
+__all__ = ["merge_counters"]

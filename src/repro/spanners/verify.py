@@ -9,20 +9,32 @@ and every experiment ultimately defends itself by passing them.
   fault sets of size ``≤ f`` (exponential, exact — used on small instances)
   or over a random sample of fault sets (one-sided: can only refute).
 
-Both the fault-set sweep of :func:`is_ft_spanner` and the source-vertex
-sweep of :func:`stretch_of` shard through :mod:`repro.runtime`: pass
-``workers``/``backend`` to fan the work out over a process pool.  Parallel
-runs are **bit-identical** to serial ones — same verdict, same worst
-stretch, same witness fault set, and the same ``fault_sets_checked`` counter
-(chunks are contiguous slices of the serial enumeration order, merged in
-order; chunks speculatively executed past the first violation are discarded,
-so the counter always means "the serial prefix up to the stopping point",
-never "work performed").  ``tests/test_runtime.py`` enforces the identity
-property-style for both fault models.
+Definition 2 is one sweep over fault sets, and it lives here once:
+:func:`fault_set_candidates` turns ``method``/``samples``/
+``exhaustive_limit`` into the candidate stream, and
+:func:`sweep_fault_sets` evaluates it in order and stops after the first
+stretch its caller's stop rule rejects.  :func:`is_ft_spanner` stops above
+the required stretch; :func:`~repro.faults.adversarial.worst_case_fault_set`
+(above ``stop_stretch``, or at an infinite stretch) and
+:func:`~repro.faults.adversarial.random_fault_trial` (never) are the same
+sweep with their own stop rules.  Only :func:`is_ft_spanner` counts as a
+verification on the ``verify.*`` counters.
+
+Both the fault-set sweep and the source-vertex sweep of :func:`stretch_of`
+shard through :mod:`repro.runtime`: pass ``workers``/``backend`` to fan the
+work out over a process pool.  Parallel runs are **bit-identical** to
+serial ones — same verdict, same worst stretch, same witness fault set, and
+the same ``fault_sets_checked`` counter (chunks are contiguous slices of the
+serial enumeration order, folded in order; chunks speculatively executed
+past the stop are discarded, so the counter always means "the serial prefix
+up to the stopping point", never "work performed").
+``tests/test_runtime.py`` enforces the identity property-style for both
+fault models.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -35,7 +47,6 @@ from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
 from repro.paths.registry import KernelLike, get_kernels
 from repro.runtime.backend import BackendLike, get_backend
-from repro.runtime.merge import ChunkVerdict, merge_verdicts
 from repro.runtime.shard import chunk_size_for, iter_chunks, split_sequence
 
 #: Relative slack on every stretch comparison, absorbing float noise in the
@@ -162,39 +173,106 @@ class FTVerificationReport:
 
 
 @dataclass(frozen=True)
-class _VerifyContext:
-    """Picklable payload shipped once per worker for fault-set checking."""
+class _FaultSetContext:
+    """Picklable payload shipped once per worker for a fault-set sweep."""
 
     csr_g: CSRGraph
     csr_h: CSRGraph
     fault_model: str
-    threshold: float
-    kernel: Optional[str] = None
+    kernel: Optional[str]
     #: Built once by the caller (:func:`source_trees`); workers never rebuild it.
-    memo: Optional[SourceTrees] = None
+    memo: Optional[SourceTrees]
+    #: The stop rule: a sweep stops after the first stretch above ``stop``;
+    #: ``None`` never stops.
+    stop: Optional[float]
+
+    def rejects(self, value: float) -> bool:
+        return self.stop is not None and value > self.stop
 
 
-def _verify_chunk(ctx: _VerifyContext, chunk: List) -> ChunkVerdict:
-    """Check one chunk of fault sets, stopping at its first violation.
+def _fault_set_chunk(ctx: _FaultSetContext, chunk: List
+                     ) -> Tuple[List[float], FaultSet]:
+    """Stretch of each fault set of one chunk, in order, up to the stop.
 
-    The exact twin of the serial loop restricted to the chunk: scan in
-    order, track the running maximum, stop the moment the threshold is
-    exceeded.
+    The exact twin of the serial loop restricted to the chunk: the scan
+    ends after the first value the stop rule rejects.  Returns the values
+    and the canonical form of the first fault set attaining their maximum.
     """
     model = get_fault_model(ctx.fault_model)
-    worst = 1.0
-    checked = 0
+    values: List[float] = []
     for faults in chunk:
-        checked += 1
         value = stretch_between_csr(ctx.csr_g, ctx.csr_h, model, list(faults),
                                     memo=ctx.memo, kernel=ctx.kernel)
-        if value > worst:
-            worst = value
-        if value > ctx.threshold:
-            return ChunkVerdict(checked=checked, worst=worst,
-                                witness=model.canonical(faults),
-                                witness_value=value)
-    return ChunkVerdict(checked=checked, worst=worst)
+        values.append(value)
+        if ctx.rejects(value):
+            break
+    return values, model.canonical(chunk[values.index(max(values))])
+
+
+def fault_set_candidates(original: Graph, model: FaultModel, max_faults: int,
+                         method: str, samples: int, rng,
+                         exhaustive_limit: int) -> Tuple[Iterable, int, str]:
+    """``(candidates, count, method)`` of a fault-set sweep.
+
+    ``"exhaustive"`` streams every fault set of size ``<= max_faults`` in
+    :func:`enumerate_fault_sets` order; ``"sampled"`` draws ``samples``
+    fault sets of exactly ``max_faults`` elements; ``"auto"`` resolves to
+    exhaustive when there are at most ``exhaustive_limit`` fault sets.
+    The returned method is the resolved one.
+    """
+    if method in ("auto", "exhaustive"):
+        elements = model.all_elements(original)
+        count = count_fault_sets(len(elements), max_faults)
+        if method == "exhaustive" or count <= exhaustive_limit:
+            return (enumerate_fault_sets(elements, max_faults), count,
+                    "exhaustive")
+    elif method != "sampled":
+        raise ValueError("method must be 'auto', 'exhaustive', or 'sampled'")
+    candidates = sample_fault_sets(original, model, max_faults, samples, rng=rng)
+    return candidates, len(candidates), "sampled"
+
+
+def sweep_fault_sets(csr_g: CSRGraph, csr_h: CSRGraph, model: FaultModel,
+                     candidates: Iterable, count: int, stop: Optional[float],
+                     *, workers: int = 1, backend: BackendLike = None,
+                     kernel: KernelLike = None
+                     ) -> Tuple[List[float], Optional[FaultSet]]:
+    """Definition 2's sweep: the stretch of every candidate, in order.
+
+    Returns the values of the serial prefix up to and including the first
+    one the stop rule rejects (above ``stop``; ``stop=None`` keeps every
+    value) and the first fault set attaining their maximum
+    (``None`` without candidates).  Chunks are contiguous slices of the
+    candidate order, consumed in order, so the answer is bit-identical for
+    every backend; closing the chunk stream at the stop cancels the chunks
+    after it, and only consumed chunks ship their worker counters home.
+    """
+    resolved = get_backend(backend, workers)
+    context = _FaultSetContext(csr_g=csr_g, csr_h=csr_h,
+                               fault_model=model.name,
+                               kernel=get_kernels(kernel).name,
+                               memo=source_trees(csr_g, csr_h, model, kernel),
+                               stop=stop)
+    results = resolved.imap(_fault_set_chunk,
+                            iter_chunks(candidates,
+                                        chunk_size_for(count, resolved.workers)),
+                            context=context, metrics=get_registry())
+    values: List[float] = []
+    witness: Optional[FaultSet] = None
+    top = -math.inf
+    try:
+        for chunk_values, chunk_witness in results:
+            values.extend(chunk_values)
+            # Strict >: ties keep the earlier chunk's fault set, like the
+            # serial first maximum.
+            chunk_top = max(chunk_values)
+            if chunk_top > top:
+                top, witness = chunk_top, chunk_witness
+            if context.rejects(chunk_values[-1]):
+                break
+    finally:
+        results.close()
+    return values, witness
 
 
 def is_ft_spanner(original: Graph, subgraph: Graph, stretch: float, max_faults: int,
@@ -254,40 +332,23 @@ def is_ft_spanner(original: Graph, subgraph: Graph, stretch: float, max_faults: 
         raise ValueError("max_faults must be non-negative")
     csr_g, csr_h = csr_snapshot(original), csr_snapshot(subgraph)
     model = get_fault_model(fault_model)
-    elements = model.all_elements(original)
-    total_sets = count_fault_sets(len(elements), max_faults)
-
-    if method == "auto":
-        method = "exhaustive" if total_sets <= exhaustive_limit else "sampled"
-    if method not in ("exhaustive", "sampled"):
-        raise ValueError("method must be 'auto', 'exhaustive', or 'sampled'")
-
-    if method == "exhaustive":
-        candidates: Iterable = enumerate_fault_sets(elements, max_faults)
-        total = total_sets
-        exhaustive = True
-    else:
-        candidates = sample_fault_sets(original, model, max_faults, samples, rng=rng)
-        total = len(candidates)
-        exhaustive = False
-
+    candidates, total, method = fault_set_candidates(
+        original, model, max_faults, method, samples, rng, exhaustive_limit)
+    exhaustive = method == "exhaustive"
     threshold = stretch * (1.0 + _RELATIVE_TOLERANCE)
 
     _VERIFY_RUNS.inc()
     with get_tracer().span("verify.is_ft_spanner", method=method,
                            max_faults=max_faults, workers=workers) as span:
-        resolved = get_backend(backend, workers)
-        context = _VerifyContext(csr_g=csr_g, csr_h=csr_h,
-                                 fault_model=model.name, threshold=threshold,
-                                 kernel=get_kernels(kernel).name,
-                                 memo=source_trees(csr_g, csr_h, model, kernel))
-        chunks = iter_chunks(candidates,
-                             chunk_size_for(total, resolved.workers))
-        verdict = merge_verdicts(
-            resolved.imap(_verify_chunk, chunks, context=context,
-                          metrics=get_registry()))
-        worst, checked = verdict.worst, verdict.checked
-        violating = verdict.witness
+        values, witness = sweep_fault_sets(csr_g, csr_h, model, candidates,
+                                           total, threshold, workers=workers,
+                                           backend=backend, kernel=kernel)
+        # Every value is at least 1 (see ``stretch_between_csr``), and only
+        # the stopping value can exceed the threshold: it is then the first
+        # maximum, so the witness is the first violating fault set.
+        checked = len(values)
+        worst = max(values, default=1.0)
+        violating = witness if worst > threshold else None
         _VERIFY_CHECKED.inc(checked)
         if violating is not None:
             _VERIFY_VIOLATIONS.inc()

@@ -7,7 +7,12 @@ same counters — for both fault models.
 """
 
 import math
+import os
 import pickle
+import signal
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -16,27 +21,24 @@ from repro.faults.adversarial import (
     stretch_between_csr,
     worst_case_fault_set,
 )
+from repro.faults.enumeration import enumerate_fault_sets, sample_fault_sets
 from repro.faults.models import get_fault_model
 from repro.graph import generators
 from repro.graph.core import Graph
 from repro.graph.csr import csr_snapshot
 from repro.paths.dijkstra import dijkstra_distances
 from repro.runtime import (
-    ChunkArgmax,
-    ChunkVerdict,
     ProcessPoolBackend,
     SerialBackend,
     chunk_size_for,
     get_backend,
     iter_chunks,
-    merge_argmax,
-    merge_verdicts,
     plan_ranges,
     split_sequence,
 )
 from repro.spanners.ft_greedy import ft_greedy_spanner
 from repro.spanners.greedy import greedy_spanner
-from repro.spanners.verify import is_ft_spanner, stretch_of
+from repro.spanners.verify import STRETCH_TOLERANCE, is_ft_spanner, stretch_of
 
 
 def _double(context, chunk):
@@ -101,6 +103,43 @@ class TestBackends:
         assert next(iterator) == [0]
         iterator.close()  # must terminate the pool without hanging
 
+    def test_dead_worker_raises_instead_of_hanging(self, tmp_path):
+        # Run in a fresh process group with a timeout: a backend that waits
+        # forever on a dead worker then fails this test instead of hanging
+        # the suite, and its leftover workers are killed with the group.
+        script = tmp_path / "dead_worker.py"
+        script.write_text(textwrap.dedent("""
+            import os
+            from concurrent.futures.process import BrokenProcessPool
+
+            from repro.runtime import ProcessPoolBackend
+
+
+            def die(context, chunk):
+                os._exit(1)
+
+
+            if __name__ == "__main__":
+                try:
+                    ProcessPoolBackend(2).map(die, [[1], [2], [3]])
+                except BrokenProcessPool:
+                    print("raised BrokenProcessPool")
+        """))
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        process = subprocess.Popen([sys.executable, str(script)], env=env,
+                                   stdout=subprocess.PIPE, text=True,
+                                   start_new_session=True)
+        try:
+            out, _ = process.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(process.pid, signal.SIGKILL)
+            process.communicate()
+            pytest.fail("a dead worker hung the consumer")
+        assert process.returncode == 0
+        assert out.strip() == "raised BrokenProcessPool"
+
     def test_csr_snapshot_pickles(self):
         graph = generators.gnm(15, 40, rng=3, connected=True, weighted=True)
         csr = csr_snapshot(graph)
@@ -142,63 +181,6 @@ class TestShardPlanner:
         chunks = split_sequence(items, 4)
         assert [x for chunk in chunks for x in chunk] == items
         assert len(chunks) >= 4  # several chunks per worker
-
-
-# --------------------------------------------------------------------------
-# Deterministic merges
-# --------------------------------------------------------------------------
-
-class TestMerges:
-    def test_merge_verdicts_stops_at_first_violating_chunk(self):
-        consumed = []
-
-        def outcomes():
-            for verdict in [
-                ChunkVerdict(checked=5, worst=1.5),
-                ChunkVerdict(checked=2, worst=2.5, witness=frozenset({1}),
-                             witness_value=2.5),
-                ChunkVerdict(checked=5, worst=9.9, witness=frozenset({2}),
-                             witness_value=9.9),  # must never be consumed
-            ]:
-                consumed.append(verdict.checked)
-                yield verdict
-
-        merged = merge_verdicts(outcomes())
-        assert merged.witness == frozenset({1})
-        assert merged.checked == 7  # the serial prefix only
-        assert merged.worst == 2.5
-        assert consumed == [5, 2]
-
-    def test_merge_verdicts_clean_run_totals(self):
-        merged = merge_verdicts(iter([ChunkVerdict(checked=4, worst=1.2),
-                                      ChunkVerdict(checked=4, worst=1.8)]))
-        assert not merged.violated
-        assert merged.checked == 8 and merged.worst == 1.8
-
-    def test_merge_argmax_keeps_first_maximum(self):
-        # Equal values resolve to the earlier chunk, like the serial >.
-        merged = merge_argmax(iter([
-            ChunkArgmax(checked=3, best="a", best_value=2.0),
-            ChunkArgmax(checked=3, best="b", best_value=2.0),
-            ChunkArgmax(checked=3, best="c", best_value=3.0),
-        ]))
-        assert merged.best == "c" and merged.best_value == 3.0
-        merged = merge_argmax(iter([
-            ChunkArgmax(checked=3, best="a", best_value=2.0),
-            ChunkArgmax(checked=3, best="b", best_value=2.0),
-        ]))
-        assert merged.best == "a"
-
-    def test_merge_argmax_stops_on_stopped_chunk(self):
-        def outcomes():
-            yield ChunkArgmax(checked=3, best="a", best_value=2.0)
-            yield ChunkArgmax(checked=1, best="hit", best_value=math.inf,
-                              stopped=True)
-            raise AssertionError("consumed past the stop")
-
-        merged = merge_argmax(outcomes())
-        assert merged.best == "hit" and merged.stopped
-        assert merged.checked == 4
 
 
 # --------------------------------------------------------------------------
@@ -325,6 +307,81 @@ class TestParallelAdversarial:
         pooled = random_fault_trial(graph, ft, "vertex", 2, 18, rng=4,
                                     workers=2)
         assert pooled == serial
+
+
+# --------------------------------------------------------------------------
+# The fault-set sweep against a plain loop
+# --------------------------------------------------------------------------
+
+def _reference_values(graph, spanner, model, candidates, stop):
+    """The serial sweep without the verify memo: every stretch up to the stop."""
+    csr_g, csr_h = csr_snapshot(graph), csr_snapshot(spanner)
+    values = []
+    for faults in candidates:
+        values.append(stretch_between_csr(csr_g, csr_h, model, list(faults)))
+        if stop is not None and (values[-1] > stop or values[-1] == math.inf):
+            break
+    return values
+
+
+@pytest.fixture(scope="module")
+def sweep_cases():
+    graph = generators.gnm(11, 28, rng=21, connected=True, weighted=True)
+    return {(fault_model, which): (graph, spanner)
+            for fault_model in ("vertex", "edge")
+            for which, spanner in (
+                ("ft", ft_greedy_spanner(graph, 3, 2,
+                                         fault_model=fault_model).spanner),
+                ("plain", greedy_spanner(graph, 3).spanner),
+                # Every stretch is 1.0: ties pin the first-maximum witness.
+                ("whole", graph.copy()))}
+
+
+class TestFaultSetSweepReference:
+    """``is_ft_spanner``, ``worst_case_fault_set`` and ``random_fault_trial``
+    equal a plain loop over the same candidates, serially and pooled."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("samples", [None, 25, 0])
+    @pytest.mark.parametrize("which", ["ft", "plain", "whole"])
+    @pytest.mark.parametrize("fault_model", ["vertex", "edge"])
+    def test_matches_plain_loop(self, sweep_cases, fault_model, which,
+                                samples, workers):
+        graph, spanner = sweep_cases[fault_model, which]
+        model = get_fault_model(fault_model)
+        if samples is None:
+            options = {"method": "exhaustive"}
+            candidates = list(enumerate_fault_sets(model.all_elements(graph), 2))
+        else:
+            options = {"method": "sampled", "samples": samples, "rng": 8}
+            candidates = sample_fault_sets(graph, model, 2, samples, rng=8)
+
+        threshold = 3 * (1 + STRETCH_TOLERANCE)
+        values = _reference_values(graph, spanner, model, candidates, threshold)
+        report = is_ft_spanner(graph, spanner, 3, 2, fault_model,
+                               workers=workers, **options)
+        worst = max(values, default=1.0)
+        assert report.fault_sets_checked == len(values)
+        assert report.worst_stretch == worst
+        assert report.ok == (worst <= threshold)
+        assert report.violating_fault_set == (
+            None if report.ok else model.canonical(candidates[len(values) - 1]))
+        assert report.exhaustive == (samples is None)
+
+        for stop in (None, 3.0, 2.0):
+            values = _reference_values(graph, spanner, model, candidates,
+                                       math.inf if stop is None else stop)
+            expected = ((model.canonical(candidates[values.index(max(values))]),
+                         max(values)) if values
+                        else (model.canonical(()), 0.0))
+            assert worst_case_fault_set(graph, spanner, fault_model, 2,
+                                        stop_stretch=stop, workers=workers,
+                                        **options) == expected
+
+        if samples is not None:
+            assert random_fault_trial(graph, spanner, fault_model, 2, samples,
+                                      rng=8, workers=workers) == \
+                _reference_values(graph, spanner, model, candidates, None)
 
 
 class TestExperimentWorkers:
