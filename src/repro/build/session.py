@@ -205,12 +205,11 @@ class BuildSession:
         """Write the (built) snapshot to ``path`` as one JSON document."""
         self.snapshot().save(path)
 
-    def engine(self, *, cache_size: int = 256, admit_threshold: int = 2):
+    def engine(self, *, cache_size: int = 256):
         """A query engine over the snapshot, sharing the spec's backend."""
         from repro.engine.engine import QueryEngine
 
         return QueryEngine(self.snapshot(), cache_size=cache_size,
-                           admit_threshold=admit_threshold,
                            backend=self.spec.backend,
                            workers=self.spec.workers,
                            kernel=self.spec.kernel)

@@ -699,7 +699,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         rebuilt_report = is_ft_spanner(
             final, rebuilt.spanner, spec.stretch, spec.max_faults,
             maintained.model.name, method=args.method, samples=args.samples,
-            rng=args.seed, workers=spec.workers, backend=spec.backend)
+            rng=args.seed, workers=spec.workers, backend=spec.backend,
+            kernel=spec.kernel)
         ratio = (maintained.spanner.number_of_edges()
                  / max(1, rebuilt.spanner.number_of_edges()))
         ok = maintained_record.ok and rebuilt_report.ok

@@ -43,8 +43,9 @@ class LiveEngine:
     ----------
     dynamic:
         The maintainer owning the live graph and spanner.
-    cache_size / admit_threshold:
-        Forwarded to the underlying :class:`~repro.engine.engine.QueryEngine`.
+    cache_size:
+        Forwarded to the underlying :class:`~repro.engine.engine.QueryEngine`,
+        which serves reads on the spec's kernel backend.
 
     Examples
     --------
@@ -57,8 +58,7 @@ class LiveEngine:
     >>> _ = live.distance(0, 5)
     """
 
-    def __init__(self, dynamic: DynamicSpanner, *, cache_size: int = 256,
-                 admit_threshold: int = 2):
+    def __init__(self, dynamic: DynamicSpanner, *, cache_size: int = 256):
         self.dynamic = dynamic
         spec = dynamic.spec
         # The snapshot wraps the *live* graphs: updates flow through without
@@ -73,8 +73,8 @@ class LiveEngine:
             metadata={"build_spec": spec.to_json(), "live": True},
         )
         self.engine = QueryEngine(self.snapshot, cache_size=cache_size,
-                                  admit_threshold=admit_threshold,
-                                  backend=spec.backend, workers=spec.workers)
+                                  backend=spec.backend, workers=spec.workers,
+                                  kernel=spec.kernel)
         self.updates_applied = 0
         self.updates_spanner_changed = 0
         self.cache_invalidations = 0

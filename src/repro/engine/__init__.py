@@ -10,8 +10,9 @@ pieces, bottom-up:
   restarts without rebuilding;
 * :mod:`repro.engine.batch` — the batch planner: incoming
   ``(source, target, fault set)`` queries are grouped by ``(source, fault
-  mask)`` and each group is answered by **one** masked kernel run instead of
-  one Dijkstra per query, with fault-mask buffers reused across groups;
+  mask)``, and one runner answers the groups with one fused multi-source
+  sweep or one masked kernel run per group instead of one Dijkstra per
+  query, with fault masks reused across groups;
 * :mod:`repro.engine.cache` — a versioned LRU cache of per-``(source,
   faults)`` distance vectors, invalidated by :attr:`Graph.version`;
 * :mod:`repro.engine.engine` — :class:`QueryEngine`, the facade exposing

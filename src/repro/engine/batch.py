@@ -1,4 +1,4 @@
-"""Batched query planning: group queries, run one kernel per group.
+"""Batched query planning: group queries, answer the groups with one runner.
 
 The serving hot path receives a stream of ``(source, target, fault set)``
 queries.  Answering each with its own Dijkstra wastes most of the work —
@@ -9,16 +9,16 @@ exploits that:
 1. :func:`plan_batches` buckets queries by ``(source, canonical fault set)``
    in first-seen order (deterministic), remembering each query's position so
    answers can be scattered back in request order;
-2. each group is answered by **one** masked kernel run —
-   :func:`multi_target_group` early-exits once the group's targets settle,
-   :func:`sssp_group` computes the full distance vector (the cacheable
-   form);
-3. a :class:`MaskBuffer` is reused across groups: applying a fault set
-   writes ``|F|`` bytes and resetting clears exactly those bytes, so the
-   per-group masking cost is O(|F|), not O(n).  When a vectorized kernel
-   backend serves the plan, :class:`MaskMatrix` stacks all the groups' masks
-   into one boolean matrix (same O(|F|)-per-group reuse discipline) so a
-   multi-source kernel answers the whole plan in one sweep.
+2. :func:`run_groups` answers a list of groups, each with either the full
+   distance vector (the cacheable form) or an early-exit run to its
+   targets.  When the resolved kernel backend has the multi-source kernel
+   of that form and there are at least two groups, one fused sweep answers
+   them all; otherwise each group costs **one** masked kernel run;
+3. masks are reused across groups (:class:`GroupMasks`): a
+   :class:`MaskBuffer` for per-group runs writes ``|F|`` bytes and resetting
+   clears exactly those bytes, so the per-group masking cost is O(|F|), not
+   O(n); a :class:`MaskMatrix` stacks the groups' masks into one matrix for
+   a fused sweep with the same O(|F|)-per-group discipline.
 
 Because the kernels replicate the per-query reference decision-for-decision
 (see :mod:`repro.paths.kernels`), grouping never changes an answer — only
@@ -27,13 +27,14 @@ how many heap operations it costs.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.faults.models import FaultModel, FaultSet
 from repro.graph.core import Node
 from repro.graph.csr import CSRGraph
-from repro.paths.registry import KernelBackend, get_kernels
+from repro.paths.registry import KernelBackend
 
 
 @dataclass
@@ -198,32 +199,66 @@ class MaskMatrix:
         return None, view
 
 
-def sssp_group(csr: CSRGraph, buffer: MaskBuffer, source_index: int,
-               faults: Iterable,
-               kernels: KernelBackend = None) -> List[float]:
-    """Full masked distance vector from ``source_index`` (the cacheable form)."""
-    if kernels is None:
-        kernels = get_kernels(None)
-    kernels = kernels.resolve(csr)
-    vertex_mask, edge_mask = buffer.apply(faults)
-    try:
-        dist, _ = kernels.sssp_dijkstra_csr(csr, source_index, None,
-                                            vertex_mask, edge_mask)
-        return dist
-    finally:
-        buffer.reset()
+class GroupMasks:
+    """The reusable fault masks of one CSR snapshot, as :func:`run_groups` needs them.
+
+    A :class:`MaskBuffer` serves runs of one group at a time, a
+    :class:`MaskMatrix` serves fused sweeps; both keep the O(|F|)-per-group
+    reuse discipline across calls.
+    """
+
+    __slots__ = ("csr", "buffer", "matrix")
+
+    def __init__(self, csr: CSRGraph, model: FaultModel):
+        self.csr = csr
+        self.buffer = MaskBuffer(csr, model)
+        self.matrix = MaskMatrix(csr, model)
 
 
-def multi_target_group(csr: CSRGraph, buffer: MaskBuffer, source_index: int,
-                       faults: Iterable, target_indices: Sequence[int],
-                       kernels: KernelBackend = None) -> List[float]:
-    """Masked distances to just ``target_indices``; early-exits when all settle."""
-    if kernels is None:
-        kernels = get_kernels(None)
-    kernels = kernels.resolve(csr)
-    vertex_mask, edge_mask = buffer.apply(faults)
-    try:
-        return kernels.multi_target_dijkstra_csr(
-            csr, source_index, list(target_indices), vertex_mask, edge_mask)
-    finally:
-        buffer.reset()
+def run_groups(masks: GroupMasks, kernels: KernelBackend, groups: Sequence[Tuple],
+               observe: Optional[Callable[[float], None]] = None
+               ) -> Tuple[List[List[float]], bool]:
+    """Answer ``(source_index, faults[, target_indices])`` groups on ``masks.csr``.
+
+    Groups without targets get the full masked distance vector (the
+    cacheable form); groups with targets get their distances in target
+    order from a run that early-exits once they settle.  All groups of one
+    call take the same form.  With at least two groups and a resolved
+    backend that has the multi-source kernel of that form, one fused sweep
+    answers them all; otherwise each group runs its own kernel.  Both give
+    the same distances.  ``observe`` receives the seconds of each kernel
+    invocation.  Returns the rows in group order and whether they fused.
+    """
+    csr = masks.csr
+    backend = kernels.resolve(csr)
+    full = len(groups[0]) == 2
+    fused = (backend.multi_source_sssp if full
+             else backend.multi_source_multi_target)
+    if fused is not None and len(groups) > 1:
+        started = time.perf_counter()
+        vertex_masks, edge_masks = masks.matrix.apply([group[1] for group in groups])
+        sources = [group[0] for group in groups]
+        if full:
+            rows = fused(csr, sources, vertex_masks, edge_masks)
+        else:
+            rows = fused(csr, sources, [group[2] for group in groups],
+                         vertex_masks, edge_masks)
+        if observe is not None:
+            observe(time.perf_counter() - started)
+        return rows, True
+    rows = []
+    for group in groups:
+        started = time.perf_counter()
+        vertex_mask, edge_mask = masks.buffer.apply(group[1])
+        try:
+            if full:
+                rows.append(backend.sssp_dijkstra_csr(
+                    csr, group[0], None, vertex_mask, edge_mask)[0])
+            else:
+                rows.append(backend.multi_target_dijkstra_csr(
+                    csr, group[0], group[2], vertex_mask, edge_mask))
+        finally:
+            masks.buffer.reset()
+        if observe is not None:
+            observe(time.perf_counter() - started)
+    return rows, False

@@ -11,16 +11,24 @@ types:
   against the original graph under the same fault set, i.e. measure the
   stretch actually delivered (requires the snapshot to carry the original).
 
-Caching: per-``(source, canonical fault set)`` full distance vectors in a
-versioned LRU (:mod:`repro.engine.cache`).  A cache hit answers every target
-of a group with list lookups; a miss costs one full masked SSSP.  With the
-cache disabled (``cache_size=0``) groups run the early-exiting multi-target
-kernel instead — cheaper for one-shot traffic, nothing worth keeping.
+Serving: one decision loop walks a batch's groups in plan order.  The
+cache holds per-``(source, canonical fault set)`` full distance vectors in
+a versioned LRU (:mod:`repro.engine.cache`).  A cache hit answers every
+target of a group with list lookups.  A miss whose key is expected to be
+reused (:data:`ADMIT_THRESHOLD`) queues one full masked SSSP into an empty
+vector already in the cache.  Every other group — and every group when the
+cache is disabled (``cache_size=0``) — queues the early-exiting
+multi-target kernel, which is cheaper for one-shot traffic.  Both queues
+then go through :func:`repro.engine.batch.run_groups`, which fuses a queue
+into one multi-source sweep when the kernel backend has one and runs a
+kernel per group otherwise.  The audits' ground-truth reads use the same
+runner.
 
-Answers are identical either way, and identical to the per-query reference
-(one Dijkstra per query over ``ExclusionView``): batching and caching are
-execution strategies, not approximations.  ``tests/test_engine.py`` holds
-this line property-style.
+Answers are identical on every path, and identical to the per-query
+reference (one Dijkstra per query over ``ExclusionView``): batching,
+fusing and caching are execution strategies, not approximations.
+``tests/test_engine.py`` holds this line property-style on both kernel
+backends.
 
 Observability: every serving counter lives on the engine's own metrics
 registry (``engine.*`` family, attached to the process default — see
@@ -38,16 +46,9 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
-from repro.engine.batch import (
-    BatchGroup,
-    MaskBuffer,
-    MaskMatrix,
-    multi_target_group,
-    plan_batches,
-    sssp_group,
-)
+from repro.engine.batch import BatchPlan, GroupMasks, plan_batches, run_groups
 from repro.engine.cache import ResultCache
 from repro.engine.snapshot import SpannerSnapshot
 from repro.faults.models import FaultSet, get_fault_model
@@ -61,6 +62,13 @@ from repro.runtime.shard import split_sequence
 
 _INF = math.inf
 _RELATIVE_TOLERANCE = 1e-9
+
+#: Admission policy: a full distance vector is computed and cached only when
+#: the expected reuse of its ``(source, faults)`` key — the group size, plus
+#: one if the key was requested before — reaches this threshold.  Cold
+#: singleton groups run the cheaper early-exit multi-target kernel instead,
+#: so one-shot traffic never pays for a vector nobody will read again.
+ADMIT_THRESHOLD = 2
 
 
 class EngineError(Exception):
@@ -117,54 +125,37 @@ def _audit_chunk(ctx: _AuditContext,
 
     Returns the ``(spanner_distance, original_distance)`` pairs in request
     order plus a flat counters mapping (spanner / original kernel-run
-    counts, plus ``engine.fused_sweeps`` when the chunk fused) — the
-    workers' contribution to the engine registry, folded by the caller
-    through :meth:`MetricsRegistry.merge_counters`.
+    counts, plus ``engine.fused_sweeps`` when a side fused) — the workers'
+    contribution to the engine registry, folded by the caller through
+    :meth:`MetricsRegistry.merge_counters`.
 
-    When the resolved backend exposes ``multi_source_multi_target``, all of
-    a side's audits run in one fused sweep (mask-matrix rows, one kernel
-    invocation) instead of one multi-target run per audit — the PR 6 fused
-    serving-path idiom applied inside the worker.  The fused kernel
-    replicates the single-source kernel's per-group semantics, so distances
-    stay bit-identical to :meth:`QueryEngine.stretch_audit` either way;
-    ``kernel_calls`` / ``audit_kernel_calls`` keep counting logical runs.
+    Each side's audits go through :func:`run_groups` as one-target groups,
+    so they fuse exactly when serving would; distances stay bit-identical
+    to :meth:`QueryEngine.stretch_audit` either way, and ``kernel_calls`` /
+    ``audit_kernel_calls`` keep counting logical runs.
     """
     model = get_fault_model(ctx.fault_model)
     kernels = get_kernels(ctx.kernel)
-    calls = [0, 0]  # [spanner, original]
+    counters = {"engine.kernel_calls": 0, "engine.audit_kernel_calls": 0}
     fused = 0
     results = [[_INF, _INF] for _ in chunk]
-    for side, csr in enumerate((ctx.csr_h, ctx.csr_g)):
-        backend = kernels.resolve(csr)
+    for side, (csr, counter) in enumerate(((ctx.csr_h, "engine.kernel_calls"),
+                                           (ctx.csr_g, "engine.audit_kernel_calls"))):
         # Audits whose endpoints the snapshot knows; the rest stay inf
-        # without a kernel call, exactly as the per-audit loop behaves.
-        pending = [(row, csr.index_of.get(source), csr.index_of.get(target), faults)
-                   for row, (source, target, faults) in enumerate(chunk)]
-        pending = [entry for entry in pending
-                   if entry[1] is not None and entry[2] is not None]
-        if not pending:
+        # without a kernel call.
+        index_of = csr.index_of
+        rows = [row for row, (source, target, _) in enumerate(chunk)
+                if source in index_of and target in index_of]
+        if not rows:
             continue
-        if backend.multi_source_multi_target is not None and len(pending) > 1:
-            vertex_masks, edge_masks = MaskMatrix(csr, model).apply(
-                [faults for _, _, _, faults in pending])
-            answers = backend.multi_source_multi_target(
-                csr, [si for _, si, _, _ in pending],
-                [[ti] for _, _, ti, _ in pending], vertex_masks, edge_masks)
-            for group, (row, _, _, _) in enumerate(pending):
-                results[row][side] = answers[group][0]
-            calls[side] += len(pending)
-            fused += 1
-            continue
-        for row, source_index, target_index, faults in pending:
-            mask = model.new_mask(csr)
-            for index in model.mask_indices(csr, faults):
-                mask[index] = 1
-            vertex_mask, edge_mask = model.kernel_masks(mask)
-            results[row][side] = backend.multi_target_dijkstra_csr(
-                csr, source_index, [target_index], vertex_mask, edge_mask)[0]
-            calls[side] += 1
-    counters = {"engine.kernel_calls": calls[0],
-                "engine.audit_kernel_calls": calls[1]}
+        answers, fused_side = run_groups(
+            GroupMasks(csr, model), kernels,
+            [(index_of[chunk[row][0]], chunk[row][2], [index_of[chunk[row][1]]])
+             for row in rows])
+        for row, answer in zip(rows, answers):
+            results[row][side] = answer[0]
+        counters[counter] += len(rows)
+        fused += fused_side
     if fused:
         counters["engine.fused_sweeps"] = fused
     return [(pair[0], pair[1]) for pair in results], counters
@@ -194,21 +185,14 @@ class QueryEngine:
     """
 
     def __init__(self, snapshot: SpannerSnapshot, *, cache_size: int = 256,
-                 admit_threshold: int = 2, backend: BackendLike = None,
-                 workers: int = 1, kernel: KernelLike = None):
+                 backend: BackendLike = None, workers: int = 1,
+                 kernel: KernelLike = None):
         self.snapshot = snapshot
         self.model = get_fault_model(snapshot.fault_model)
         self.metrics = component_registry("engine")
         self.cache = ResultCache(cache_size, metrics=self.metrics)
         self.backend = get_backend(backend, workers)
         self.kernel = get_kernels(kernel)
-        #: Admission policy: a full distance vector is computed and cached
-        #: only when the expected reuse of its ``(source, faults)`` key —
-        #: the group size, plus one if the key was requested before — reaches
-        #: this threshold.  Cold singleton groups run the cheaper early-exit
-        #: multi-target kernel instead, so one-shot traffic never pays for a
-        #: vector nobody will read again.  ``1`` caches unconditionally.
-        self.admit_threshold = admit_threshold
         self._queries_served = self.metrics.counter(
             "engine.queries_served", "distance queries answered")
         self._batches_planned = self.metrics.counter(
@@ -234,8 +218,7 @@ class QueryEngine:
         self._group_kernel_seconds = self.metrics.histogram(
             "engine.group_kernel_seconds",
             "kernel time per served group / fused sweep")
-        self._buffers: Dict[int, MaskBuffer] = {}
-        self._matrices: Dict[int, MaskMatrix] = {}
+        self._masks: Dict[int, GroupMasks] = {}
         self._seen_keys: set = set()
 
     # ----------------------------------------------------- counter thin views
@@ -272,170 +255,96 @@ class QueryEngine:
         return self._busy_seconds.value
 
     # ------------------------------------------------------------- internals
-    def _buffer_for(self, csr: CSRGraph) -> MaskBuffer:
-        """The reusable fault-mask buffer bound to ``csr``.
+    def _masks_for(self, csr: CSRGraph) -> GroupMasks:
+        """The reusable fault masks bound to ``csr``.
 
-        Snapshots are recompiled (new object) after removals, so buffers are
+        Snapshots are recompiled (new object) after removals, so masks are
         keyed by object identity; stale bindings are dropped.
         """
         key = id(csr)
-        buffer = self._buffers.get(key)
-        if buffer is None:
-            if len(self._buffers) > 4:
+        masks = self._masks.get(key)
+        if masks is None:
+            if len(self._masks) > 4:
                 # Recompiled snapshots leave stale bindings behind; an engine
                 # only ever serves two live CSRs (spanner + original).
-                self._buffers.clear()
-            buffer = MaskBuffer(csr, self.model)
-            self._buffers[key] = buffer
-        return buffer
+                self._masks.clear()
+            masks = GroupMasks(csr, self.model)
+            self._masks[key] = masks
+        return masks
 
-    def _matrix_for(self, csr: CSRGraph) -> MaskMatrix:
-        """The reusable fault-mask matrix bound to ``csr`` (fused sweeps)."""
-        key = id(csr)
-        matrix = self._matrices.get(key)
-        if matrix is None:
-            if len(self._matrices) > 4:
-                self._matrices.clear()
-            matrix = MaskMatrix(csr, self.model)
-            self._matrices[key] = matrix
-        return matrix
+    def _serve_plan(self, plan: BatchPlan) -> List[float]:
+        """Answer every group of ``plan``; returns answers in query order.
 
-    def _multi_target(self, csr: CSRGraph, source_index: int,
-                      canonical: FaultSet,
-                      target_indices: List) -> List[float]:
-        """Early-exit kernel run for the group; ``None`` targets answer inf."""
-        known = [t for t in target_indices if t is not None]
-        started = time.perf_counter()
-        distances = multi_target_group(csr, self._buffer_for(csr), source_index,
-                                       canonical, known, self.kernel)
-        self._group_kernel_seconds.observe(time.perf_counter() - started)
-        self._kernel_calls.inc()
-        answered = iter(distances)
-        return [next(answered) if t is not None else _INF for t in target_indices]
-
-    def _serve_group(self, csr: CSRGraph, source: Node, canonical: FaultSet,
-                     targets: Sequence[Node]) -> List[float]:
-        """Distances for one ``(source, faults)`` group, in target order.
-
-        Both execution strategies — cached full vector and early-exit
-        multi-target run — produce bitwise-identical distances (enforced by
-        ``tests/test_engine.py``), so the admission choice is purely about
-        cost.
+        One pass decides each group in plan order: a cache hit reads its
+        vector; a miss worth caching puts an empty vector in the cache and
+        queues a full SSSP to fill it; any other group queues an early-exit
+        multi-target run.  Plan keys are unique, so nothing in the batch
+        reads a vector before it is filled, and the cache sees the same
+        reads and writes in the same order as if each group ran at once.
+        :func:`run_groups` then answers each queue, fused or per group.
         """
-        self._groups_executed.inc()
+        csr = self.snapshot.csr
         index_of = csr.index_of
-        source_index = index_of.get(source)
-        if source_index is None:
-            return [_INF] * len(targets)
-        target_indices = [index_of.get(target) for target in targets]
-        if not self.cache.enabled:
-            return self._multi_target(csr, source_index, canonical, target_indices)
-        key = (source, canonical)
-        vector = self.cache.get(key)
-        if vector is None:
-            expected_reuse = len(targets) + (1 if key in self._seen_keys else 0)
-            if expected_reuse < self.admit_threshold:
-                # Cold singleton: remember the key so a repeat gets promoted,
-                # but serve it with the cheap early-exit kernel for now.
-                if len(self._seen_keys) > 16 * max(self.cache.capacity, 64):
-                    self._seen_keys.clear()
-                self._seen_keys.add(key)
-                return self._multi_target(csr, source_index, canonical,
-                                          target_indices)
-            started = time.perf_counter()
-            vector = sssp_group(csr, self._buffer_for(csr), source_index,
-                                canonical, self.kernel)
-            self._group_kernel_seconds.observe(time.perf_counter() - started)
-            self._kernel_calls.inc()
-            self.cache.put(key, vector)
-        return [vector[t] if t is not None else _INF for t in target_indices]
-
-    def _serve_plan_fused(self, csr: CSRGraph, plan,
-                          results: List[float]) -> None:
-        """Serve a whole plan with at most two multi-source kernel sweeps.
-
-        Runs the exact per-group decision loop of :meth:`_serve_group` —
-        same cache reads/writes, admission checks and counter bumps, in plan
-        order — but *defers* the kernel work: admitted groups put an empty
-        placeholder vector in the cache (plan keys are unique, so nothing
-        reads it within this batch) and queue up; early-exit groups queue
-        up likewise.  Each queue is then answered by one fused sweep over a
-        :class:`MaskMatrix`, the placeholders filled in place, and answers
-        scattered.  Every distance, counter and cache-state transition is
-        bit-identical to the per-group path.
-        """
-        kernels = self.kernel.resolve(csr)
-        index_of = csr.index_of
-        multi_pending: List[Tuple[BatchGroup, int, List]] = []
-        sssp_pending: List[Tuple[BatchGroup, int, List[float], List]] = []
+        cache = self.cache
+        results: List[float] = [_INF] * plan.num_queries
+        # Groups answered from a vector (hit or queued), and the two queues.
+        reads: List[Tuple[List[int], List, List[float]]] = []
+        full: List[Tuple[int, FaultSet]] = []
+        full_vectors: List[List[float]] = []
+        early: List[Tuple[int, FaultSet, List[int]]] = []
+        early_reads: List[Tuple[List[int], List]] = []
         for group in plan.groups:
             self._groups_executed.inc()
             source_index = index_of.get(group.source)
             if source_index is None:
                 continue  # results already hold inf
             target_indices = [index_of.get(t) for t in group.targets]
-            if self.cache.enabled:
+            if cache.enabled:
                 key = (group.source, group.faults)
-                vector = self.cache.get(key)
-                if vector is not None:
-                    for position, t in zip(group.positions, target_indices):
-                        results[position] = vector[t] if t is not None else _INF
-                    continue
-                expected_reuse = len(group.targets) + (
-                    1 if key in self._seen_keys else 0)
-                if expected_reuse >= self.admit_threshold:
+                vector = cache.get(key)
+                expected_reuse = len(group.targets) + (key in self._seen_keys)
+                if vector is None and expected_reuse >= ADMIT_THRESHOLD:
                     vector = []
+                    cache.put(key, vector)
                     self._kernel_calls.inc()
-                    self.cache.put(key, vector)
-                    sssp_pending.append(
-                        (group, source_index, vector, target_indices))
+                    full.append((source_index, group.faults))
+                    full_vectors.append(vector)
+                if vector is not None:
+                    reads.append((group.positions, target_indices, vector))
                     continue
-                if len(self._seen_keys) > 16 * max(self.cache.capacity, 64):
+                # Cold singleton: remember the key so a repeat gets promoted,
+                # but serve it with the cheap early-exit kernel for now.
+                if len(self._seen_keys) > 16 * max(cache.capacity, 64):
                     self._seen_keys.clear()
                 self._seen_keys.add(key)
             self._kernel_calls.inc()
-            multi_pending.append((group, source_index, target_indices))
+            early.append((source_index, group.faults,
+                          [t for t in target_indices if t is not None]))
+            early_reads.append((group.positions, target_indices))
 
-        if sssp_pending:
-            started = time.perf_counter()
-            if len(sssp_pending) == 1:
-                group, source_index, vector, _ = sssp_pending[0]
-                vector[:] = sssp_group(csr, self._buffer_for(csr),
-                                       source_index, group.faults, kernels)
-            else:
-                vm, em = self._matrix_for(csr).apply(
-                    [group.faults for group, _, _, _ in sssp_pending])
-                rows = kernels.multi_source_sssp(
-                    csr, [si for _, si, _, _ in sssp_pending], vm, em)
-                self._fused_sweeps.inc()
-                for (_, _, vector, _), row in zip(sssp_pending, rows):
+        masks = self._masks_for(csr)
+        observe = self._group_kernel_seconds.observe
+        try:
+            if full:
+                rows, fused = run_groups(masks, self.kernel, full, observe)
+                self._fused_sweeps.inc(fused)
+                for vector, row in zip(full_vectors, rows):
                     vector[:] = row
-            self._group_kernel_seconds.observe(time.perf_counter() - started)
-            for group, _, vector, target_indices in sssp_pending:
-                for position, t in zip(group.positions, target_indices):
-                    results[position] = vector[t] if t is not None else _INF
-
-        if multi_pending:
-            started = time.perf_counter()
-            known_lists = [[t for t in tis if t is not None]
-                           for _, _, tis in multi_pending]
-            if len(multi_pending) == 1:
-                group, source_index, _ = multi_pending[0]
-                answers = [multi_target_group(
-                    csr, self._buffer_for(csr), source_index, group.faults,
-                    known_lists[0], kernels)]
-            else:
-                vm, em = self._matrix_for(csr).apply(
-                    [group.faults for group, _, _ in multi_pending])
-                answers = kernels.multi_source_multi_target(
-                    csr, [si for _, si, _ in multi_pending], known_lists, vm, em)
-                self._fused_sweeps.inc()
-            self._group_kernel_seconds.observe(time.perf_counter() - started)
-            for (group, _, target_indices), row in zip(multi_pending, answers):
-                answered = iter(row)
-                for position, t in zip(group.positions, target_indices):
-                    results[position] = (next(answered) if t is not None
-                                         else _INF)
+            if early:
+                rows, fused = run_groups(masks, self.kernel, early, observe)
+                self._fused_sweeps.inc(fused)
+                for (positions, target_indices), row in zip(early_reads, rows):
+                    answered = iter(row)
+                    for position, t in zip(positions, target_indices):
+                        results[position] = next(answered) if t is not None else _INF
+        except BaseException:
+            # A queued vector left empty must never be served as a hit.
+            cache.clear()
+            raise
+        for positions, target_indices, vector in reads:
+            for position, t in zip(positions, target_indices):
+                results[position] = vector[t] if t is not None else _INF
+        return results
 
     # --------------------------------------------------------------- queries
     def distance(self, source: Node, target: Node,
@@ -460,18 +369,7 @@ class QueryEngine:
                 self._batch_occupancy.observe(plan.num_queries)
                 span.set(groups=plan.num_groups)
                 self.cache.sync(self.snapshot.spanner.version)
-                csr = self.snapshot.csr
-                results: List[float] = [_INF] * plan.num_queries
-                if (plan.num_groups > 1
-                        and self.kernel.resolve(csr).multi_source_sssp is not None):
-                    self._serve_plan_fused(csr, plan, results)
-                    return results
-                for group in plan.groups:
-                    answers = self._serve_group(csr, group.source, group.faults,
-                                                group.targets)
-                    for position, answer in zip(group.positions, answers):
-                        results[position] = answer
-                return results
+                return self._serve_plan(plan)
             finally:
                 self._busy_seconds.inc(time.perf_counter() - started)
 
@@ -507,9 +405,9 @@ class QueryEngine:
             if source_index is None or target_index is None:
                 original_distance = _INF
             else:
-                original_distance = multi_target_group(
-                    original_csr, self._buffer_for(original_csr), source_index,
-                    canonical, [target_index], self.kernel)[0]
+                (row,), _ = run_groups(self._masks_for(original_csr), self.kernel,
+                                       [(source_index, canonical, [target_index])])
+                original_distance = row[0]
                 # Counted apart from kernel_calls: audits are ground-truth
                 # lookups, not serving work, and must not skew the
                 # batching-savings accounting below.
@@ -532,9 +430,9 @@ class QueryEngine:
         With the engine's default serial backend this is a plain loop over
         :meth:`stretch_audit` (counters and cache behave exactly as per-call
         audits).  With a pooled backend the requests shard across workers —
-        each worker resolves both sides of its audits with the same masked
-        multi-target kernel, so every :class:`StretchAudit` field is
-        identical to the serial path.  Counter-merge rule for pooled runs:
+        each worker resolves both sides of its audits through the same
+        runner, so every :class:`StretchAudit` field is identical to the
+        serial path.  Counter-merge rule for pooled runs:
         the batch planner and result cache are bypassed, so each audit
         counts one served query, one spanner kernel call, and one audit
         kernel call, while ``batches_planned``/``groups_executed`` are left

@@ -368,6 +368,21 @@ class TestUpdateAndReplayCommands:
         assert report["check"]["rebuilt_ok"] is True
         assert report["check"]["size_ratio"] >= 1.0 - 1e-9
 
+    def test_replay_check_certifies_both_sides_on_the_spec_kernel(
+            self, graph_file, journal_file, capsys):
+        pytest.importorskip("numpy")
+        from repro.obs.metrics import get_registry
+        path, _ = graph_file
+        registry = get_registry()
+        before = registry.counters()
+        code = main(["replay", str(path), "-f", "1", "-j", str(journal_file),
+                     "--check", "--json", "--kernel", "numpy"])
+        assert code == 0
+        capsys.readouterr()
+        delta = registry.counters_delta(before)
+        assert delta.get('kernels.dispatch{backend="numpy"}', 0) > 0
+        assert delta.get('kernels.dispatch{backend="loop"}', 0) == 0
+
     def test_replay_journal_mismatch_is_a_clean_error(self, graph_file,
                                                       tmp_path):
         path, graph = graph_file

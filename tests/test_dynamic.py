@@ -488,6 +488,14 @@ class TestLiveEngine:
         assert live.updates_applied == 32
         assert live.certify(method="sampled", samples=25, rng=0).ok
 
+    @pytest.mark.parametrize("kernel", ["loop", "numpy"])
+    def test_reads_use_the_spec_kernel(self, kernel):
+        if kernel == "numpy":
+            pytest.importorskip("numpy")
+        graph = generators.gnm(16, 48, rng=12, connected=True, weighted=True)
+        live = LiveEngine(BuildSession(graph, _spec(kernel=kernel)).dynamic())
+        assert live.stats()["kernel"] == kernel
+
     def test_cache_survives_spanner_neutral_updates(self):
         graph = generators.gnm(16, 48, rng=12, connected=True, weighted=True)
         live = LiveEngine(BuildSession(graph, _spec()).dynamic())

@@ -9,6 +9,7 @@ random graphs with random fault sets; the unit tests cover the LRU cache,
 generators.
 """
 
+import dataclasses
 import json
 import math
 
@@ -35,6 +36,7 @@ from repro.graph.io import load_graph_auto, save_graph_auto
 from repro.graph.views import ExclusionView
 from repro.paths.dijkstra import bounded_distance
 from repro.paths.kernels import bounded_dijkstra_csr, multi_target_dijkstra_csr
+from repro.paths.registry import get_kernels, kernel_backend_names
 from repro.spanners.ft_greedy import ft_greedy_spanner
 from repro.utils.rng import RandomSource
 
@@ -86,13 +88,19 @@ def engine_instances(draw):
 # Batched answers == per-query reference answers
 # --------------------------------------------------------------------------
 
+#: Every installed kernel backend: ``numpy`` fuses a batch's groups into
+#: multi-source sweeps, ``loop`` runs one kernel per group.
+KERNELS = ["loop"] + [name for name in kernel_backend_names() if name == "numpy"]
+
+
 @SETTINGS
-@given(engine_instances(), st.sampled_from([0, 4, 256]))
-def test_batched_answers_match_per_query_reference(instance, cache_size):
+@given(engine_instances(), st.sampled_from([0, 4, 256]), st.sampled_from(KERNELS))
+def test_batched_answers_match_per_query_reference(instance, cache_size, kernel):
+    # Cache size 4 evicts queued vectors within one batch on both paths.
     graph, queries, fault_model = instance
     snapshot = SpannerSnapshot(spanner=graph, stretch=1.0,
                                fault_model=fault_model)
-    engine = QueryEngine(snapshot, cache_size=cache_size)
+    engine = QueryEngine(snapshot, cache_size=cache_size, kernel=kernel)
     got = engine.distances_batch(queries)
     expected = _reference_answers(graph, queries, fault_model)
     assert got == expected
@@ -153,6 +161,22 @@ def test_engine_handles_unknown_endpoints_and_masked_faults():
     assert math.isinf(engine.distance(0, 2, faults=(0,)))  # faulted endpoint
     assert engine.distance(0, 2, faults=(42,)) == 2.0  # unknown fault: no-op
     assert engine.distance(1, 1) == 0.0
+
+
+def test_failed_kernel_run_leaves_no_empty_vector_cached():
+    def failing_sssp(*args):
+        raise MemoryError("kernel failed")
+
+    graph = Graph(edges=[(0, 1), (1, 2), (2, 3)])
+    engine = QueryEngine(SpannerSnapshot(spanner=graph, stretch=1.0),
+                         kernel=dataclasses.replace(
+                             get_kernels("loop"), sssp_dijkstra_csr=failing_sssp))
+    batch = [(0, 2), (0, 3)]  # one group worth caching: queues a full SSSP
+    with pytest.raises(MemoryError):
+        engine.distances_batch(batch)
+    assert len(engine.cache) == 0
+    engine.kernel = get_kernels("loop")
+    assert engine.distances_batch(batch) == [2.0, 3.0]
 
 
 # --------------------------------------------------------------------------
@@ -231,7 +255,7 @@ def test_cache_flush_on_mid_session_version_bump_drops_stale_entries():
     """
     graph = generators.gnm(16, 50, rng=9, connected=True, weighted=True)
     engine = QueryEngine(SpannerSnapshot(spanner=graph, stretch=1.0),
-                         cache_size=32, admit_threshold=1)
+                         cache_size=32)
     nodes = list(graph.nodes())
     sources = nodes[:4]
     queries = [(s, t) for s in sources for t in nodes[4:10]]
