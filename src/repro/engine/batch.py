@@ -9,9 +9,9 @@ exploits that:
 1. :func:`plan_batches` buckets queries by ``(source, canonical fault set)``
    in first-seen order (deterministic), remembering each query's position so
    answers can be scattered back in request order;
-2. :func:`run_groups` answers a list of groups, each with either the full
-   distance vector (the cacheable form) or an early-exit run to its
-   targets.  When the resolved kernel backend has the multi-source kernel
+2. :func:`run_groups` answers a list of groups, all with the full
+   distance vector (the cacheable form) or all with an early-exit run to
+   their targets, as the caller states.  When the resolved kernel backend has the multi-source kernel
    of that form and there are at least two groups, one fused sweep answers
    them all; otherwise each group costs **one** masked kernel run;
 3. masks are reused across groups (:class:`GroupMasks`): a
@@ -215,15 +215,17 @@ class GroupMasks:
         self.matrix = MaskMatrix(csr, model)
 
 
-def run_groups(masks: GroupMasks, kernels: KernelBackend, groups: Sequence[Tuple],
+def run_groups(masks: GroupMasks, kernels: KernelBackend,
+               groups: Sequence[Tuple[int, FaultSet]],
+               targets: Optional[Sequence[List[int]]] = None, *,
                observe: Optional[Callable[[float], None]] = None
                ) -> Tuple[List[List[float]], bool]:
-    """Answer ``(source_index, faults[, target_indices])`` groups on ``masks.csr``.
+    """Answer ``(source_index, faults)`` groups on ``masks.csr``.
 
-    Groups without targets get the full masked distance vector (the
-    cacheable form); groups with targets get their distances in target
-    order from a run that early-exits once they settle.  All groups of one
-    call take the same form.  With at least two groups and a resolved
+    Without ``targets`` every group gets its full masked distance vector
+    (the cacheable form); with ``targets`` (one list of target indices per
+    group) every group gets its distances in target order from a run that
+    early-exits once they settle.  With at least two groups and a resolved
     backend that has the multi-source kernel of that form, one fused sweep
     answers them all; otherwise each group runs its own kernel.  Both give
     the same distances.  ``observe`` receives the seconds of each kernel
@@ -231,32 +233,30 @@ def run_groups(masks: GroupMasks, kernels: KernelBackend, groups: Sequence[Tuple
     """
     csr = masks.csr
     backend = kernels.resolve(csr)
-    full = len(groups[0]) == 2
-    fused = (backend.multi_source_sssp if full
+    fused = (backend.multi_source_sssp if targets is None
              else backend.multi_source_multi_target)
     if fused is not None and len(groups) > 1:
         started = time.perf_counter()
-        vertex_masks, edge_masks = masks.matrix.apply([group[1] for group in groups])
-        sources = [group[0] for group in groups]
-        if full:
+        sources = [source for source, _ in groups]
+        vertex_masks, edge_masks = masks.matrix.apply([faults for _, faults in groups])
+        if targets is None:
             rows = fused(csr, sources, vertex_masks, edge_masks)
         else:
-            rows = fused(csr, sources, [group[2] for group in groups],
-                         vertex_masks, edge_masks)
+            rows = fused(csr, sources, targets, vertex_masks, edge_masks)
         if observe is not None:
             observe(time.perf_counter() - started)
         return rows, True
     rows = []
-    for group in groups:
+    for index, (source, faults) in enumerate(groups):
         started = time.perf_counter()
-        vertex_mask, edge_mask = masks.buffer.apply(group[1])
+        vertex_mask, edge_mask = masks.buffer.apply(faults)
         try:
-            if full:
+            if targets is None:
                 rows.append(backend.sssp_dijkstra_csr(
-                    csr, group[0], None, vertex_mask, edge_mask)[0])
+                    csr, source, None, vertex_mask, edge_mask)[0])
             else:
                 rows.append(backend.multi_target_dijkstra_csr(
-                    csr, group[0], group[2], vertex_mask, edge_mask))
+                    csr, source, targets[index], vertex_mask, edge_mask))
         finally:
             masks.buffer.reset()
         if observe is not None:

@@ -106,6 +106,10 @@ class ResultCache:
         """Drop every entry (counters are kept)."""
         self._entries.clear()
 
+    def discard(self, key: Hashable) -> None:
+        """Drop ``key`` if present (counters are kept)."""
+        self._entries.pop(key, None)
+
     # --------------------------------------------------------------- traffic
     def get(self, key: Hashable) -> Optional[Any]:
         """Return the cached value for ``key`` (refreshing recency) or ``None``."""

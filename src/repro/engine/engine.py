@@ -150,8 +150,8 @@ def _audit_chunk(ctx: _AuditContext,
             continue
         answers, fused_side = run_groups(
             GroupMasks(csr, model), kernels,
-            [(index_of[chunk[row][0]], chunk[row][2], [index_of[chunk[row][1]]])
-             for row in rows])
+            [(index_of[chunk[row][0]], chunk[row][2]) for row in rows],
+            [[index_of[chunk[row][1]]] for row in rows])
         for row, answer in zip(rows, answers):
             results[row][side] = answer[0]
         counters[counter] += len(rows)
@@ -282,6 +282,8 @@ class QueryEngine:
         reads a vector before it is filled, and the cache sees the same
         reads and writes in the same order as if each group ran at once.
         :func:`run_groups` then answers each queue, fused or per group.
+        If anything raises on the way, the queued keys leave the cache, so
+        an empty vector is never served.
         """
         csr = self.snapshot.csr
         index_of = csr.index_of
@@ -290,56 +292,62 @@ class QueryEngine:
         # Groups answered from a vector (hit or queued), and the two queues.
         reads: List[Tuple[List[int], List, List[float]]] = []
         full: List[Tuple[int, FaultSet]] = []
+        full_keys: List[Tuple[Node, FaultSet]] = []
         full_vectors: List[List[float]] = []
-        early: List[Tuple[int, FaultSet, List[int]]] = []
+        early: List[Tuple[int, FaultSet]] = []
+        early_targets: List[List[int]] = []
         early_reads: List[Tuple[List[int], List]] = []
-        for group in plan.groups:
-            self._groups_executed.inc()
-            source_index = index_of.get(group.source)
-            if source_index is None:
-                continue  # results already hold inf
-            target_indices = [index_of.get(t) for t in group.targets]
-            if cache.enabled:
-                key = (group.source, group.faults)
-                vector = cache.get(key)
-                expected_reuse = len(group.targets) + (key in self._seen_keys)
-                if vector is None and expected_reuse >= ADMIT_THRESHOLD:
-                    vector = []
-                    cache.put(key, vector)
-                    self._kernel_calls.inc()
-                    full.append((source_index, group.faults))
-                    full_vectors.append(vector)
-                if vector is not None:
-                    reads.append((group.positions, target_indices, vector))
-                    continue
-                # Cold singleton: remember the key so a repeat gets promoted,
-                # but serve it with the cheap early-exit kernel for now.
-                if len(self._seen_keys) > 16 * max(cache.capacity, 64):
-                    self._seen_keys.clear()
-                self._seen_keys.add(key)
-            self._kernel_calls.inc()
-            early.append((source_index, group.faults,
-                          [t for t in target_indices if t is not None]))
-            early_reads.append((group.positions, target_indices))
-
-        masks = self._masks_for(csr)
-        observe = self._group_kernel_seconds.observe
         try:
+            for group in plan.groups:
+                self._groups_executed.inc()
+                source_index = index_of.get(group.source)
+                if source_index is None:
+                    continue  # results already hold inf
+                target_indices = [index_of.get(t) for t in group.targets]
+                if cache.enabled:
+                    key = (group.source, group.faults)
+                    vector = cache.get(key)
+                    expected_reuse = len(group.targets) + (key in self._seen_keys)
+                    if vector is None and expected_reuse >= ADMIT_THRESHOLD:
+                        vector = []
+                        cache.put(key, vector)
+                        self._kernel_calls.inc()
+                        full.append((source_index, group.faults))
+                        full_keys.append(key)
+                        full_vectors.append(vector)
+                    if vector is not None:
+                        reads.append((group.positions, target_indices, vector))
+                        continue
+                    # Cold singleton: remember the key so a repeat gets
+                    # promoted, but serve it with the cheap early-exit kernel
+                    # for now.
+                    if len(self._seen_keys) > 16 * max(cache.capacity, 64):
+                        self._seen_keys.clear()
+                    self._seen_keys.add(key)
+                self._kernel_calls.inc()
+                early.append((source_index, group.faults))
+                early_targets.append([t for t in target_indices if t is not None])
+                early_reads.append((group.positions, target_indices))
+
+            masks = self._masks_for(csr)
+            observe = self._group_kernel_seconds.observe
             if full:
-                rows, fused = run_groups(masks, self.kernel, full, observe)
+                rows, fused = run_groups(masks, self.kernel, full, observe=observe)
                 self._fused_sweeps.inc(fused)
                 for vector, row in zip(full_vectors, rows):
                     vector[:] = row
             if early:
-                rows, fused = run_groups(masks, self.kernel, early, observe)
+                rows, fused = run_groups(masks, self.kernel, early, early_targets,
+                                         observe=observe)
                 self._fused_sweeps.inc(fused)
                 for (positions, target_indices), row in zip(early_reads, rows):
                     answered = iter(row)
                     for position, t in zip(positions, target_indices):
                         results[position] = next(answered) if t is not None else _INF
         except BaseException:
-            # A queued vector left empty must never be served as a hit.
-            cache.clear()
+            for key, vector in zip(full_keys, full_vectors):
+                if not vector:
+                    cache.discard(key)
             raise
         for positions, target_indices, vector in reads:
             for position, t in zip(positions, target_indices):
@@ -406,7 +414,7 @@ class QueryEngine:
                 original_distance = _INF
             else:
                 (row,), _ = run_groups(self._masks_for(original_csr), self.kernel,
-                                       [(source_index, canonical, [target_index])])
+                                       [(source_index, canonical)], [[target_index]])
                 original_distance = row[0]
                 # Counted apart from kernel_calls: audits are ground-truth
                 # lookups, not serving work, and must not skew the

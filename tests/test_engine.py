@@ -179,6 +179,19 @@ def test_failed_kernel_run_leaves_no_empty_vector_cached():
     assert engine.distances_batch(batch) == [2.0, 3.0]
 
 
+def test_failed_decision_loop_leaves_no_empty_vector_cached():
+    graph = Graph(edges=[(0, 1), (1, 2), (2, 3)])
+    engine = QueryEngine(SpannerSnapshot(spanner=graph, stretch=1.0))
+    engine.distances_batch([(3, 0), (3, 1)])  # a hot key that must survive
+    # The first group queues a full SSSP; the second group's target cannot
+    # be hashed, so the decision loop raises before anything runs.
+    with pytest.raises(TypeError):
+        engine.distances_batch([(0, 2), (0, 3), (1, {"x": 1})])
+    assert (0, frozenset()) not in engine.cache
+    assert len(engine.cache) == 1
+    assert engine.distances_batch([(0, 2), (0, 3), (3, 1)]) == [2.0, 3.0, 2.0]
+
+
 # --------------------------------------------------------------------------
 # Mask buffers
 # --------------------------------------------------------------------------
