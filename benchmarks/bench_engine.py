@@ -225,16 +225,21 @@ def record_engine_vs_naive(path=None, *, quick: bool = False) -> dict:
         })
     headline = next(c for c in report["cases"] if c["workload"] == "zipf")
     report["speedup"] = headline["speedup"]
-    assert report["speedup"] >= 3.0, (
-        f"batched engine speedup regressed below 3x: {report['speedup']}x"
-    )
     report["instrumentation_overhead_pct"] = max(
         case["instrumentation_overhead_pct"] for case in report["cases"])
-    assert report["instrumentation_overhead_pct"] <= 2.0, (
-        "idle instrumentation overhead exceeded the 2% budget: "
-        f"{report['instrumentation_overhead_pct']}%"
-    )
+    # Both gates are wall-clock ratios, so the report is written before
+    # either is enforced: a failing run still leaves its numbers behind.
+    report["gates"] = {
+        "zipf speedup >= 3x": {"value": report["speedup"],
+                               "passed": report["speedup"] >= 3.0},
+        "idle instrumentation overhead <= 2%": {
+            "value": report["instrumentation_overhead_pct"],
+            "passed": report["instrumentation_overhead_pct"] <= 2.0},
+    }
     pathlib.Path(path).write_text(json.dumps(report, indent=2) + "\n")
+    failed = [f"{name} (got {gate['value']})"
+              for name, gate in report["gates"].items() if not gate["passed"]]
+    assert not failed, "engine gates failed: " + "; ".join(failed)
     return report
 
 

@@ -8,9 +8,10 @@ same spanner, same witness fault sets, same work counters.
 
 :class:`BuildSession` chains the full serving pipeline behind one spec: the
 construction, the fault-tolerance verification, the serving snapshot (which
-records the spec so it can rebuild itself), and the query engine — all
-sharing the spec's ``workers``/``backend`` execution knobs, with optional
-progress callbacks and cooperative cancellation.
+records the spec so it can rebuild itself), and the query engine, with
+optional progress callbacks and cooperative cancellation.  Construction and
+verification shard over the spec's ``workers``/``backend`` execution knobs;
+the engine serves in-process on the spec's ``kernel``.
 
 >>> from repro.graph import generators
 >>> from repro.build import BuildSpec, BuildSession
@@ -119,8 +120,9 @@ class BuildSession:
     :meth:`verify` checks the result under the spec's fault budget,
     :meth:`snapshot` wraps it for serving (recording the spec so the
     snapshot can rebuild itself), and :meth:`engine` opens a
-    :class:`~repro.engine.engine.QueryEngine` over it.  Every stage shares
-    the spec's ``workers``/``backend`` execution knobs.
+    :class:`~repro.engine.engine.QueryEngine` over it.  Build and verify
+    share the spec's ``workers``/``backend`` execution knobs; the engine
+    serves in-process on the spec's ``kernel``.
     """
 
     def __init__(self, graph: Graph, spec: BuildSpec, *,
@@ -206,12 +208,10 @@ class BuildSession:
         self.snapshot().save(path)
 
     def engine(self, *, cache_size: int = 256):
-        """A query engine over the snapshot, sharing the spec's backend."""
+        """A query engine over the snapshot, on the spec's kernel backend."""
         from repro.engine.engine import QueryEngine
 
         return QueryEngine(self.snapshot(), cache_size=cache_size,
-                           backend=self.spec.backend,
-                           workers=self.spec.workers,
                            kernel=self.spec.kernel)
 
     def dynamic(self):

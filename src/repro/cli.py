@@ -87,6 +87,7 @@ from repro.obs.export import (
 from repro.obs.metrics import get_registry
 from repro.obs.trace import TRACE_ENV_VAR, get_tracer
 from repro.graph.products import relabel_product_nodes
+from repro.serve.core import EngineCore
 from repro.serve.protocol import (
     RequestError,
     dispatch_sync,
@@ -304,18 +305,6 @@ def _resolve_snapshot(args: argparse.Namespace) -> SpannerSnapshot:
     return BuildSession(graph, spec_from_args(args)).snapshot()
 
 
-def _engine_core(engine, **kwargs):
-    """An :class:`repro.serve.core.EngineCore` over ``engine`` (lazy import).
-
-    The protocol core shared with the daemon: the one-shot ``serve`` /
-    ``query`` verbs dispatch through it with a zero-width coalescing window,
-    so their request parsing and report shapes are literally the daemon's.
-    """
-    from repro.serve.core import EngineCore
-
-    return EngineCore(engine, **kwargs)
-
-
 def _wire_query(query) -> list:
     """One workload query (``Query`` object or triple) in wire form."""
     if hasattr(query, "source"):
@@ -378,7 +367,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # The workload replays through the daemon's own request-schema/dispatch
     # code (a degenerate zero-width coalescing window), so the one-shot
     # surface and the persistent daemon cannot drift apart.
-    core = _engine_core(engine, window_seconds=0.0)
+    core = EngineCore(engine, window_seconds=0.0)
     started = time.perf_counter()
     reachable = 0
     for batch in split_batches(queries, args.batch_size):
@@ -427,8 +416,6 @@ def _daemon_core(args: argparse.Namespace, snapshot: SpannerSnapshot):
     ``/v1/update`` enabled); one without serves read-only through a plain
     :class:`QueryEngine` and answers 409 on updates.
     """
-    from repro.serve.core import EngineCore
-
     window_seconds = max(0.0, args.window_ms) / 1000.0
     if snapshot.original is not None:
         from repro.dynamic.live import LiveEngine
@@ -484,7 +471,7 @@ def _cmd_daemon(args: argparse.Namespace) -> int:
 def _cmd_query(args: argparse.Namespace) -> int:
     snapshot = _resolve_snapshot(args)
     engine = QueryEngine(snapshot, cache_size=0, kernel=args.kernel)
-    core = _engine_core(engine, window_seconds=0.0)
+    core = EngineCore(engine, window_seconds=0.0)
     source = parse_node(args.source)
     target = parse_node(args.target)
     faults = _parse_fault_spec(args.faults_spec, snapshot.fault_model)

@@ -73,9 +73,7 @@ class LiveEngine:
             metadata={"build_spec": spec.to_json(), "live": True},
         )
         self.engine = QueryEngine(self.snapshot, cache_size=cache_size,
-                                  backend=spec.backend, workers=spec.workers,
                                   kernel=spec.kernel)
-        self.updates_applied = 0
         self.updates_spanner_changed = 0
         self.cache_invalidations = 0
 
@@ -92,7 +90,6 @@ class LiveEngine:
         outcome = self.dynamic.apply(update)
         self.engine.cache.sync(self.dynamic.spanner.version)
         self.cache_invalidations += self.engine.cache.invalidations - before
-        self.updates_applied += 1
         if outcome.spanner_changed:
             self.updates_spanner_changed += 1
         return outcome
@@ -100,6 +97,11 @@ class LiveEngine:
     def apply_journal(self, journal: Iterable[UpdateOp]) -> List[UpdateOutcome]:
         """Apply every op of a journal in order; returns the outcomes."""
         return [self.apply(update) for update in journal]
+
+    @property
+    def updates_applied(self) -> int:
+        """Ops applied so far: the maintainer's own count."""
+        return self.dynamic.updates_applied
 
     # ----------------------------------------------------------------- queries
     def distance(self, source, target, faults: Iterable = ()) -> float:

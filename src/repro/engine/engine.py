@@ -21,8 +21,8 @@ cache is disabled (``cache_size=0``) — queues the early-exiting
 multi-target kernel, which is cheaper for one-shot traffic.  Both queues
 then go through :func:`repro.engine.batch.run_groups`, which fuses a queue
 into one multi-source sweep when the kernel backend has one and runs a
-kernel per group otherwise.  The audits' ground-truth reads use the same
-runner.
+kernel per group otherwise.  An audit's ground-truth read is one
+early-exit group through the same runner, over the original graph.
 
 Answers are identical on every path, and identical to the per-query
 reference (one Dijkstra per query over ``ExclusionView``): batching,
@@ -36,9 +36,10 @@ registry (``engine.*`` family, attached to the process default — see
 ``kernel_calls``, ...) preserved as read-only views and :meth:`stats` as the
 dict rendering.  Batch occupancy and per-group kernel time are histograms;
 ``distances_batch`` opens a tracer span so traces attribute kernel work to
-the batches that caused it.  Pooled audit sweeps ship their counters back
-per chunk and fold through :func:`repro.obs.merge_counters`, so parallel
-audits report exactly the serial counters.
+the batches that caused it.  Everything runs in the calling process:
+audits resolve one at a time through :meth:`QueryEngine.stretch_audit`, and
+their ground-truth kernel runs count in ``audit_kernel_calls``, apart from
+the serving ``kernel_calls``.
 """
 
 from __future__ import annotations
@@ -54,11 +55,9 @@ from repro.engine.snapshot import SpannerSnapshot
 from repro.faults.models import FaultSet, get_fault_model
 from repro.graph.core import Node
 from repro.graph.csr import CSRGraph
-from repro.obs.metrics import SIZE_BUCKETS, component_registry, get_registry
+from repro.obs.metrics import SIZE_BUCKETS, component_registry
 from repro.obs.trace import get_tracer
 from repro.paths.registry import KernelLike, get_kernels
-from repro.runtime.backend import BackendLike, SerialBackend, get_backend
-from repro.runtime.shard import split_sequence
 
 _INF = math.inf
 _RELATIVE_TOLERANCE = 1e-9
@@ -109,58 +108,6 @@ class StretchAudit:
         return self.stretch <= self.required_stretch * (1.0 + _RELATIVE_TOLERANCE)
 
 
-@dataclass(frozen=True)
-class _AuditContext:
-    """Picklable payload for sharded audit sweeps (shipped once per worker)."""
-
-    csr_h: CSRGraph
-    csr_g: CSRGraph
-    fault_model: str
-    kernel: str = "auto"
-
-
-def _audit_chunk(ctx: _AuditContext,
-                 chunk: List) -> Tuple[List[Tuple[float, float]], Dict[str, int]]:
-    """Resolve one chunk of ``(source, target, canonical faults)`` audits.
-
-    Returns the ``(spanner_distance, original_distance)`` pairs in request
-    order plus a flat counters mapping (spanner / original kernel-run
-    counts, plus ``engine.fused_sweeps`` when a side fused) — the workers'
-    contribution to the engine registry, folded by the caller through
-    :meth:`MetricsRegistry.merge_counters`.
-
-    Each side's audits go through :func:`run_groups` as one-target groups,
-    so they fuse exactly when serving would; distances stay bit-identical
-    to :meth:`QueryEngine.stretch_audit` either way, and ``kernel_calls`` /
-    ``audit_kernel_calls`` keep counting logical runs.
-    """
-    model = get_fault_model(ctx.fault_model)
-    kernels = get_kernels(ctx.kernel)
-    counters = {"engine.kernel_calls": 0, "engine.audit_kernel_calls": 0}
-    fused = 0
-    results = [[_INF, _INF] for _ in chunk]
-    for side, (csr, counter) in enumerate(((ctx.csr_h, "engine.kernel_calls"),
-                                           (ctx.csr_g, "engine.audit_kernel_calls"))):
-        # Audits whose endpoints the snapshot knows; the rest stay inf
-        # without a kernel call.
-        index_of = csr.index_of
-        rows = [row for row, (source, target, _) in enumerate(chunk)
-                if source in index_of and target in index_of]
-        if not rows:
-            continue
-        answers, fused_side = run_groups(
-            GroupMasks(csr, model), kernels,
-            [(index_of[chunk[row][0]], chunk[row][2]) for row in rows],
-            [[index_of[chunk[row][1]]] for row in rows])
-        for row, answer in zip(rows, answers):
-            results[row][side] = answer[0]
-        counters[counter] += len(rows)
-        fused += fused_side
-    if fused:
-        counters["engine.fused_sweeps"] = fused
-    return [(pair[0], pair[1]) for pair in results], counters
-
-
 class QueryEngine:
     """Serve fault-tolerant distance queries against one spanner snapshot.
 
@@ -172,10 +119,6 @@ class QueryEngine:
     cache_size:
         LRU capacity in ``(source, fault set)`` distance vectors; ``0``
         disables caching (pure streaming mode).
-    backend:
-        Execution backend (:func:`repro.runtime.get_backend` spec) used by
-        :meth:`stretch_audit_batch` to shard audit sweeps; serving-path
-        queries always run in-process.  Defaults to serial.
     kernel:
         Kernel backend (:func:`repro.paths.get_kernels` spec) answering the
         distance queries; ``None`` auto-selects by graph size.  When the
@@ -185,13 +128,11 @@ class QueryEngine:
     """
 
     def __init__(self, snapshot: SpannerSnapshot, *, cache_size: int = 256,
-                 backend: BackendLike = None, workers: int = 1,
                  kernel: KernelLike = None):
         self.snapshot = snapshot
         self.model = get_fault_model(snapshot.fault_model)
         self.metrics = component_registry("engine")
         self.cache = ResultCache(cache_size, metrics=self.metrics)
-        self.backend = get_backend(backend, workers)
         self.kernel = get_kernels(kernel)
         self._queries_served = self.metrics.counter(
             "engine.queries_served", "distance queries answered")
@@ -431,64 +372,6 @@ class QueryEngine:
             required_stretch=self.snapshot.stretch,
             within_budget=len(canonical) <= self.snapshot.max_faults,
         )
-
-    def stretch_audit_batch(self, requests: Sequence) -> List[StretchAudit]:
-        """Audit a whole batch of ``(source, target, faults)`` requests.
-
-        With the engine's default serial backend this is a plain loop over
-        :meth:`stretch_audit` (counters and cache behave exactly as per-call
-        audits).  With a pooled backend the requests shard across workers —
-        each worker resolves both sides of its audits through the same
-        runner, so every :class:`StretchAudit` field is identical to the
-        serial path.  Counter-merge rule for pooled runs:
-        the batch planner and result cache are bypassed, so each audit
-        counts one served query, one spanner kernel call, and one audit
-        kernel call, while ``batches_planned``/``groups_executed`` are left
-        untouched.
-        """
-        original_csr = self.snapshot.original_csr
-        if original_csr is None:
-            raise EngineError(
-                "stretch_audit needs a snapshot built with the original graph "
-                "(SpannerSnapshot.original is None)"
-            )
-        if isinstance(self.backend, SerialBackend):
-            return [self.stretch_audit(source, target, faults)
-                    for source, target, faults in requests]
-        normalized = [(source, target, self.model.canonical(faults))
-                      for source, target, faults in requests]
-        started = time.perf_counter()
-        try:
-            context = _AuditContext(csr_h=self.snapshot.csr, csr_g=original_csr,
-                                    fault_model=self.model.name,
-                                    kernel=self.kernel.name)
-            distance_pairs: List[Tuple[float, float]] = []
-            # metrics=get_registry(): worker-side module counters (kernel
-            # dispatch) fold into the process registry, while the explicit
-            # per-chunk counts below land on the engine's own counters.
-            for chunk_results, counters in self.backend.map(
-                    _audit_chunk,
-                    split_sequence(normalized, self.backend.workers),
-                    context=context, metrics=get_registry()):
-                self.metrics.merge_counters(counters)
-                distance_pairs.extend(chunk_results)
-            self._queries_served.inc(len(normalized))
-            self._audits.inc(len(normalized))
-            return [
-                StretchAudit(
-                    source=source,
-                    target=target,
-                    faults=canonical,
-                    spanner_distance=spanner_distance,
-                    original_distance=original_distance,
-                    required_stretch=self.snapshot.stretch,
-                    within_budget=len(canonical) <= self.snapshot.max_faults,
-                )
-                for (source, target, canonical), (spanner_distance, original_distance)
-                in zip(normalized, distance_pairs)
-            ]
-        finally:
-            self._busy_seconds.inc(time.perf_counter() - started)
 
     # ----------------------------------------------------------------- stats
     def stats(self) -> Dict[str, Any]:

@@ -30,10 +30,10 @@ Merging
 :func:`merge_counters` is the single fold used everywhere chunked work ships
 counters back to a parent: worker-process metric deltas
 (:mod:`repro.runtime.backend`), the speculative-batch fold in the parallel
-FT-greedy builder and the dynamic repair sweep, and the engine's pooled
-audit fold.  It sums a flat ``{name: amount}`` mapping into either a plain
-dict or a registry, so parallel runs report the same counters as serial ones
-(property-tested in ``tests/test_obs.py``).
+FT-greedy builder and the dynamic repair sweep.  It sums a flat
+``{name: amount}`` mapping into either a plain dict or a registry, so
+parallel runs report the same counters as serial ones (property-tested in
+``tests/test_obs.py``).
 """
 
 from __future__ import annotations

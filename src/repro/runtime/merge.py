@@ -10,9 +10,8 @@ up to its stop rule, the source sweep of ``stretch_of`` takes a maximum.
 
 :func:`merge_counters` (re-exported from :mod:`repro.obs.metrics`) is the
 one fold for flat counter mappings shipped back from chunks — worker metric
-deltas, speculative-batch oracle counts, pooled audit counts — into either a
-plain dict or a metrics registry.  Counters folded through it obey the
-serial-prefix rule: consumers fold in submission order and discard chunks
+deltas, speculative-batch oracle counts — into either a plain dict or a
+metrics registry.  Counters folded through it obey the serial-prefix rule: consumers fold in submission order and discard chunks
 past an early stop, so ``verify.fault_sets_checked`` and the other counters
 always mean "the serial prefix up to the stopping point", never "work
 performed".

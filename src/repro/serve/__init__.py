@@ -43,9 +43,3 @@ __all__ = [
     "wire_distance",
 ]
 
-
-def engine_core(engine, **kwargs):
-    """Build an :class:`~repro.serve.core.EngineCore` (lazy engine import)."""
-    from repro.serve.core import EngineCore
-
-    return EngineCore(engine, **kwargs)

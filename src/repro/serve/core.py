@@ -17,17 +17,19 @@ submit), so both surfaces run literally the same code path.
 Write path: ``apply_updates`` first flushes the open window — the update
 is a serialization barrier, so requests that were already parked resolve
 against the pre-update spanner — then applies each op through the live
-engine (which syncs the result cache atomically per op) and appends it to
-the daemon's own :class:`~repro.dynamic.updates.UpdateJournal`.  The
-journal offset in the response is the client-visible lineage cursor.
+engine, which syncs the result cache atomically per op.  The live
+maintainer journals every op it applies, and that journal is the only one:
+the journal offset in responses, ``/health`` and :meth:`EngineCore.stats`
+is its length (0 for a frozen snapshot, which applies nothing).  It is the
+client-visible lineage cursor.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
-from repro.dynamic.updates import UpdateError, UpdateJournal, UpdateOp
-from repro.obs.metrics import MetricsRegistry, component_registry
+from repro.dynamic.updates import UpdateError, UpdateOp
+from repro.obs.metrics import component_registry
 from repro.serve.coalesce import CoalescingWindow
 from repro.serve.protocol import RequestError
 
@@ -46,23 +48,20 @@ class EngineCore:
     window_seconds / max_batch:
         The coalescing window (see :class:`CoalescingWindow`); ``0``
         disables coalescing.
-    journal:
-        The journal recording every op applied through this core; a fresh
-        empty one by default (offset 0 = the snapshot as loaded).
+
+    The core keeps no journal of its own: the journal offset is the length
+    of the live maintainer's journal (``engine.dynamic.journal``).  The
+    daemon builds a fresh maintainer from its snapshot, so its offset
+    starts at 0.
     """
 
     def __init__(self, engine, *, window_seconds: float = 0.002,
-                 max_batch: int = 512,
-                 journal: Optional[UpdateJournal] = None,
-                 metrics: Optional[MetricsRegistry] = None):
+                 max_batch: int = 512):
         self.engine = engine
         self.snapshot = engine.snapshot
         self.fault_model = self.snapshot.fault_model
         self.writable = hasattr(engine, "apply")
-        self.journal = (journal if journal is not None
-                        else UpdateJournal(name="daemon"))
-        self.metrics = (metrics if metrics is not None
-                        else component_registry("serve.core"))
+        self.metrics = component_registry("serve.core")
         self.window = CoalescingWindow(
             engine.distances_batch, window_seconds=window_seconds,
             max_batch=max_batch, metrics=self.metrics)
@@ -71,6 +70,11 @@ class EngineCore:
         self._updates_spanner_changed = self.metrics.counter(
             "serve.updates_spanner_changed",
             "applied ops that mutated the served spanner")
+
+    @property
+    def journal_offset(self) -> int:
+        """Ops the live maintainer has journalled; 0 for a frozen snapshot."""
+        return len(self.engine.dynamic.journal) if self.writable else 0
 
     # ------------------------------------------------------------- the core
     async def distances(self, queries: List) -> List[float]:
@@ -93,7 +97,8 @@ class EngineCore:
 
         Ops apply one at a time exactly like a journal replay; on the first
         inapplicable op the report carries how many earlier ops *did* apply
-        (and were journalled) so the client can resynchronize.
+        (and were journalled by the maintainer) so the client can
+        resynchronize.
         """
         if not self.writable:
             raise RequestError(
@@ -113,7 +118,6 @@ class EngineCore:
                 raise RequestError(
                     f"update {applied} of {len(ops)} failed after "
                     f"{applied} applied: {error}", status=409) from None
-            self.journal.append(op)
             applied += 1
             if outcome.spanner_changed:
                 spanner_changed += 1
@@ -125,7 +129,7 @@ class EngineCore:
         return {
             "applied": applied,
             "spanner_changed": spanner_changed,
-            "journal_offset": len(self.journal),
+            "journal_offset": self.journal_offset,
             "outcomes": outcomes,
         }
 
@@ -137,7 +141,7 @@ class EngineCore:
             "snapshot": self.snapshot.describe(),
             "build_spec": spec.to_json() if spec is not None else None,
             "writable": self.writable,
-            "journal_offset": len(self.journal),
+            "journal_offset": self.journal_offset,
             "spanner_version": self.snapshot.spanner.version,
         }
 
@@ -145,7 +149,7 @@ class EngineCore:
         """The engine's serving report plus the core's write-path ledger."""
         return {
             **self.engine.stats(),
-            "journal_offset": len(self.journal),
+            "journal_offset": self.journal_offset,
             "coalesce": {
                 "window_seconds": self.window.window_seconds,
                 "max_batch": self.window.max_batch,
@@ -157,4 +161,4 @@ class EngineCore:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<EngineCore {'live' if self.writable else 'frozen'} "
                 f"model={self.fault_model} "
-                f"journal_offset={len(self.journal)}>")
+                f"journal_offset={self.journal_offset}>")

@@ -35,7 +35,8 @@ A core is any object with:
 Wire conventions
 ----------------
 * Node labels are JSON scalars; tuple labels (product graphs) travel as
-  lists and are restored exactly like the graph JSON format.
+  lists and are restored exactly like the graph JSON format.  A label that
+  holds a JSON object cannot name a node and is refused with 400.
 * A fault set is a list of nodes (vertex model) or ``[u, v]`` pairs (edge
   model).
 * Distances are JSON numbers, with ``null`` for *unreachable* (JSON has no
@@ -95,8 +96,20 @@ def from_wire_distance(value: Optional[float]) -> float:
 # ---------------------------------------------------------------------------
 
 def _parse_node(value: Any) -> Any:
-    """Restore one node label from its JSON form (lists become tuples)."""
-    return _restore_node(value)
+    """Restore one node label from its JSON form (lists become tuples).
+
+    A label must be hashable to name a node; a JSON object (at any depth)
+    is refused here, so it never reaches a batch merged with other
+    clients' requests.
+    """
+    node = _restore_node(value)
+    try:
+        hash(node)
+    except TypeError:
+        raise RequestError(
+            f"node label {value!r} must be a JSON scalar or a list of them"
+        ) from None
+    return node
 
 
 def parse_faults(value: Any, fault_model: str) -> Tuple:
@@ -358,9 +371,14 @@ class _UpdateVerb:
         if not isinstance(documents, list):
             raise RequestError("updates must be a list of journal op dicts")
         try:
-            return [update_from_json(document) for document in documents]
+            ops = [update_from_json(document) for document in documents]
         except (UpdateError, KeyError, TypeError, ValueError) as error:
             raise RequestError(f"bad update op: {error}") from None
+        for op in ops:
+            # Refused here, before any op of the batch applies.
+            _parse_node(op.u)
+            _parse_node(op.v)
+        return ops
 
     @staticmethod
     async def execute(core, parsed):

@@ -324,31 +324,6 @@ def test_engine_invalidates_on_graph_version_change():
                                      math.inf)
 
 
-def test_stretch_audit_batch_parallel_matches_serial():
-    """Sharded audit sweeps return the exact per-call audits, plus counters."""
-    graph = generators.gnm(18, 56, rng=6, connected=True, weighted=True)
-    result = ft_greedy_spanner(graph, 3, 1)
-    snapshot = SpannerSnapshot.from_result(result)
-    nodes = list(graph.nodes())
-    requests = [(s, t, (w,)) for s in nodes[:3] for t in nodes[3:7]
-                for w in nodes[7:9]]
-    serial = QueryEngine(snapshot).stretch_audit_batch(requests)
-    pooled_engine = QueryEngine(snapshot, backend="process", workers=2)
-    pooled = pooled_engine.stretch_audit_batch(requests)
-    assert pooled == serial
-    assert pooled_engine.audits == len(requests)
-    assert pooled_engine.audit_kernel_calls == len(requests)
-    assert all(audit.within_budget for audit in pooled)
-
-
-def test_stretch_audit_batch_requires_original():
-    graph = generators.gnm(12, 30, rng=1, connected=True)
-    engine = QueryEngine(SpannerSnapshot(spanner=graph, stretch=1.0),
-                         backend="process", workers=2)
-    with pytest.raises(EngineError):
-        engine.stretch_audit_batch([(0, 1, ())])
-
-
 # --------------------------------------------------------------------------
 # Snapshots
 # --------------------------------------------------------------------------

@@ -21,8 +21,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.cache import ResultCache
-from repro.engine.engine import QueryEngine
-from repro.engine.snapshot import SpannerSnapshot
 from repro.graph import generators
 from repro.obs.export import (
     METRICS_SCHEMA,
@@ -326,38 +324,6 @@ def test_is_ft_spanner_workers4_counters_equal_serial(seed):
     assert report_serial.ok and report_parallel.ok
     assert report_parallel.fault_sets_checked == report_serial.fault_sets_checked
     assert parallel == serial
-
-
-@pytest.mark.parametrize("seed", [5, 19])
-def test_stretch_audit_batch_workers4_stats_equal_serial(seed):
-    """Pooled audit sweeps report the documented per-call counters.
-
-    The documented exclusions: pooled audits bypass the batch planner and
-    the result cache, so ``batches_planned`` / ``groups_executed`` stay 0
-    and ``kernel_calls`` is exactly one spanner kernel run per audit
-    (serial per-call audits may do fewer via the cache).
-    """
-    graph = generators.gnm(14, 40, rng=seed, connected=True, weighted=True)
-    snapshot = SpannerSnapshot.from_result(ft_greedy_spanner(graph, 3, 1))
-    nodes = list(graph.nodes())
-    requests = [(s, t, (w,)) for s in nodes[:3] for t in nodes[3:6]
-                for w in nodes[6:8]]
-
-    serial_engine = QueryEngine(snapshot)
-    serial_audits = serial_engine.stretch_audit_batch(requests)
-    pooled_engine = QueryEngine(snapshot, backend="process", workers=4)
-    pooled_audits = pooled_engine.stretch_audit_batch(requests)
-
-    assert pooled_audits == serial_audits
-    compared = ["queries_served", "audits", "audit_kernel_calls"]
-    serial_stats = serial_engine.stats()
-    pooled_stats = pooled_engine.stats()
-    assert {key: pooled_stats[key] for key in compared} \
-        == {key: serial_stats[key] for key in compared}
-    assert pooled_stats["kernel_calls"] == len(requests)
-    assert serial_stats["kernel_calls"] <= len(requests)
-    assert pooled_stats["batches_planned"] == 0
-    assert pooled_stats["groups_executed"] == 0
 
 
 # --------------------------------------------------------------------------

@@ -301,9 +301,22 @@ class TestProtocolParsing:
             parse_faults("nope", "vertex")
 
     def test_parse_query_rejects_bad_shapes(self):
-        for payload in ({"source": 0}, [0], [0, 1, 2, 3], "text", None):
-            with pytest.raises(RequestError):
-                parse_query(payload, "vertex")
+        # Besides bad shapes: a JSON object cannot name a node, at the top
+        # level or inside a list label, as a source, a target, or a fault
+        # of either model.
+        bad = {"x": 1}
+        for payload, model in (({"source": 0}, "vertex"), ([0], "vertex"),
+                               ([0, 1, 2, 3], "vertex"), ("text", "vertex"),
+                               (None, "vertex"),
+                               ({"source": bad, "target": 5}, "vertex"),
+                               ([0, bad], "vertex"),
+                               ([[0, bad], 5], "vertex"),
+                               ([0, 5, [2, bad]], "vertex"),
+                               ([0, 5, [[2, bad]]], "edge"),
+                               ([0, 5, [[bad, 3]]], "edge")):
+            with pytest.raises(RequestError) as excinfo:
+                parse_query(payload, model)
+            assert excinfo.value.status == 400
 
     def test_parse_queries_requires_list_envelope(self):
         assert parse_queries({"queries": [[0, 1]]}, "vertex") == [(0, 1, ())]
@@ -397,9 +410,14 @@ class TestDispatch:
                            {"updates": [update_to_json(EdgeDelete(0, 1))]})
         assert excinfo.value.status == 409  # read-only core
         for payload in ({}, {"updates": "x"},
-                        {"updates": [{"op": "explode", "u": 0, "v": 1}]}):
-            with pytest.raises(RequestError):
-                self._dispatch(FakeCore(writable=True), "update", payload)
+                        {"updates": [{"op": "explode", "u": 0, "v": 1}]},
+                        {"updates": [{"op": "delete", "u": 0, "v": 1},
+                                     {"op": "delete", "u": {"x": 1}, "v": 2}]}):
+            core = FakeCore(writable=True)
+            with pytest.raises(RequestError) as excinfo:
+                self._dispatch(core, "update", payload)
+            assert excinfo.value.status == 400
+            assert core.applied == []
 
     def test_dispatch_sync_runs_without_a_loop(self):
         document = dispatch_sync(FakeCore(), "distance",
@@ -725,6 +743,45 @@ class TestDaemonEndToEnd:
         assert core.window.batches_flushed == 1
         assert answers["a"] == live.distance(0, 9)
         assert answers["b"] == live.distance(1, 7)
+
+    def test_malformed_label_fails_alone_in_its_window(self):
+        # Both requests park in the same window; the malformed one is
+        # refused at parse time, so the valid one still gets its distance.
+        live = _live_engine()
+        core = self._engine_core(live, window_seconds=0.05)
+
+        async def both():
+            return await asyncio.gather(
+                dispatch(core, "distance", {"source": 0, "target": 5}),
+                dispatch(core, "distance",
+                         {"source": {"x": 1}, "target": 5}),
+                return_exceptions=True)
+
+        good, bad = asyncio.run(both())
+        assert good["distance"] == wire_distance(live.distance(0, 5))
+        assert isinstance(bad, RequestError) and bad.status == 400
+        assert core.window.requests_coalesced == 1
+
+    def test_partially_failing_update_keeps_the_applied_prefix(self):
+        live = _live_engine()
+        core = self._engine_core(live, window_seconds=0.0)
+        edge = next(iter(sorted(live.dynamic.spanner.edge_keys(), key=repr)))
+        missing = next((u, v) for u in live.snapshot.spanner.nodes()
+                       for v in live.snapshot.spanner.nodes()
+                       if u != v and not live.dynamic.graph.has_edge(u, v))
+        with run_daemon(core) as (daemon, host, port):
+            with DaemonClient(host, port) as client:
+                with pytest.raises(DaemonError) as excinfo:
+                    client.update([EdgeDelete(*edge), EdgeDelete(*missing)])
+                assert excinfo.value.status == 409
+                assert "update 1 of 2 failed after 1 applied" \
+                    in str(excinfo.value)
+                health = client.health()
+        assert health["engine"]["journal_offset"] == 1
+        assert core.describe()["journal_offset"] == 1
+        assert len(live.dynamic.journal) == 1
+        assert not live.dynamic.graph.has_edge(*edge)
+        assert not live.dynamic.spanner.has_edge(*edge)
 
     def test_concurrent_answers_identical_to_reference_across_update(self):
         served = _live_engine()
