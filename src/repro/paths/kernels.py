@@ -23,10 +23,12 @@ enforced by ``tests/test_csr_kernels.py``.
 The exception is :func:`bidirectional_bounded_path_csr`, a decision kernel
 with no reference twin: it sums paths from both ends, so its distances can
 differ from the forward kernels' in the last bits and its path is *a*
-shortest path, not the forward kernels' one.  Its only consumer, the tiered
-oracle, reads nothing from it but a verdict that a band around the budget
-keeps equal to the forward kernel's; ``tests/test_csr_kernels.py`` checks it
-against :func:`bounded_dijkstra_csr` on that contract.
+shortest path, not the forward kernels' one.  Its consumers, the exact
+fault-check oracles, read a verdict that a band around the budget keeps
+equal to the forward kernel's, and branch on its path, which is short and
+live but otherwise any; ``tests/test_csr_kernels.py`` checks it against
+:func:`bounded_dijkstra_csr` on that contract.  The numpy backend registers
+this same function, so every backend returns the same path.
 :func:`multi_target_tree_csr` is :func:`multi_target_dijkstra_csr` with its
 shortest-path tree returned as well, for the verification memo in
 :mod:`repro.faults.adversarial`.
@@ -202,7 +204,7 @@ def bidirectional_bounded_path_csr(csr: CSRGraph, source: int, target: int,
     shortest paths comes back is not the forward kernels' choice.  Callers
     that need the forward kernels' exact ``> budget`` verdict decide a band
     around ``budget`` themselves (see
-    :meth:`repro.spanners.fault_check.TieredOracle._exceeds`).
+    :meth:`repro.spanners.fault_check.BranchAndBoundOracle._exceeds`).
     """
     n = len(csr.node_of)
     if vertex_mask is None:

@@ -16,12 +16,17 @@ list of registered names.  Two backends ship:
     only when numpy imports; resolving it without numpy raises
     ``RuntimeError`` with the import failure.
 
-``loop`` also carries two optional kernels with no numpy twin: the
-decision kernel ``bidirectional_bounded_path`` and ``multi_target_tree``
-(a multi-target search that also returns its shortest-path tree).  The
-fields are ``None`` there and on ``auto``; consumers call them on the
-backend :meth:`KernelBackend.resolve` returns and fall back without them
-(to the forward kernels, and to searching every verification source).
+Both backends carry the decision kernel ``bidirectional_bounded_path``,
+and both carry the same one: the loop
+:func:`~repro.paths.kernels.bidirectional_bounded_path_csr`, which reads
+the same snapshot.  It has no twin rule (its tied paths are its own
+choice), so one implementation is what keeps the exact oracles, which
+branch on its path, returning the same witnesses on every backend.
+``loop`` also carries ``multi_target_tree`` (a multi-target search that
+also returns its shortest-path tree), with no numpy twin.  The optional
+fields are ``None`` on ``auto``; consumers call them on the backend
+:meth:`KernelBackend.resolve` returns and fall back without them (to the
+forward kernels, and to searching every verification source).
 
 The default is ``auto``: a dispatching backend that picks ``numpy`` for CSR
 snapshots with at least :data:`AUTO_NODE_THRESHOLD` nodes (where the array
@@ -73,12 +78,12 @@ class KernelBackend:
     The six required kernels share signatures with their reference
     definitions in :mod:`repro.paths.kernels`.  The optional entry points
     are ``None`` when a backend has no implementation: consumers fall back
-    to per-query calls of the batched ones, and to the forward bounded
-    kernels for ``bidirectional_bounded_path`` (the decision kernel of
-    :func:`repro.paths.kernels.bidirectional_bounded_path_csr`, which only
-    ``loop`` provides), and to unmemoised verification sweeps without
-    ``multi_target_tree`` (:func:`repro.paths.kernels.multi_target_tree_csr`,
-    also ``loop`` only).
+    to per-query calls of the batched ones, to the forward bounded kernels
+    for ``bidirectional_bounded_path`` (the decision kernel
+    :func:`repro.paths.kernels.bidirectional_bounded_path_csr`, which both
+    shipped backends register), and to unmemoised verification sweeps
+    without ``multi_target_tree``
+    (:func:`repro.paths.kernels.multi_target_tree_csr`, ``loop`` only).
     """
 
     name: str
@@ -202,6 +207,7 @@ else:
         bounded_bfs_csr=_np_kernels.bounded_bfs_csr,
         multi_source_sssp=_np_kernels.multi_source_sssp_csr,
         multi_source_multi_target=_np_kernels.multi_source_multi_target_csr,
+        bidirectional_bounded_path=_loop.bidirectional_bounded_path_csr,
     ))
 
 def _auto_dispatch(kernel_name: str) -> Callable:

@@ -14,10 +14,11 @@ an open problem.  This module provides four oracles behind one interface:
 * :class:`BranchAndBoundOracle` — exact.  It branches only on
   the elements of some *short witness path*: if ``dist_{H\\F}(u, v) ≤ k·w``
   then every fault set that works must hit every ``u``–``v`` path of length
-  ``≤ k·w``, in particular the shortest one, so it suffices to try faulting
-  each of its elements and recurse with budget ``f - 1``.  Still exponential
-  in ``f`` (the paper's open problem stands) but the branching factor is the
-  hop-length of a short path rather than ``n``.
+  ``≤ k·w``, in particular whichever short path the decision query returns,
+  so it suffices to try faulting each of its elements and recurse with
+  budget ``f - 1``.  Still exponential in ``f`` (the paper's open problem
+  stands) but the branching factor is the hop-length of a short path rather
+  than ``n``.
 * :class:`GreedyPathPackingOracle` — polynomial-time heuristic: repeatedly
   fault one element of the current shortest short path, up to ``f`` times.
   One-sided: a returned fault set is always a genuine witness, but a ``None``
@@ -33,10 +34,11 @@ an open problem.  This module provides four oracles behind one interface:
   *pool* of every short path the query has found so far, and a search node
   whose spared pooled paths admit no hitting set within its remaining
   budget is decided without a kernel call.  The screens may certify a
-  reject or certify the exact oracle's accept (with the identical canonical
+  reject or certify the exact oracle's accept (with the identical empty
   witness), and the pool only cuts subtrees the exact search would answer
-  ``None`` for; neither changes a decision, so spanners and witnesses are
-  byte-identical to :class:`BranchAndBoundOracle` (property-tested in
+  ``None`` for; every other node asks the same deterministic decision query
+  as the plain search, so spanners and witnesses are byte-identical to
+  :class:`BranchAndBoundOracle` (property-tested in
   ``tests/test_fault_check.py``).
 
 All oracles return either a canonical fault set ``F`` witnessing the distance
@@ -47,14 +49,14 @@ Every oracle runs on the compiled CSR snapshot of the queried
 :class:`~repro.graph.core.Graph` (inside the greedy driver, the growing
 spanner ``H``) with *fault masks*: trying a candidate fault set is a few byte
 writes on a mask, and the distance query itself runs the array-native
-kernels.  The exhaustive, branch-and-bound and heuristic oracles ask only
-the forward kernels (``bounded_dijkstra_csr`` and its path twin).  The
-tiered oracle asks the forward path kernel wherever the exact search
-branches on a canonical path, a cached ``sssp_dijkstra_csr`` vector for
-warm root tests, and the bidirectional decision kernel
-(``bidirectional_bounded_path``, when the backend has it) for every query
-whose only output is "exceeds the budget?" — the root test, path packing
-and the exact search's leaves that the path pool leaves undecided.  The
+kernels.  The exhaustive and heuristic oracles ask only the forward kernels
+(``bounded_dijkstra_csr`` and its path twin).  The exact searches ask one
+*decision query* (:meth:`BranchAndBoundOracle._exceeds`) per search node:
+the bidirectional kernel ``bidirectional_bounded_path``, with a band around
+the budget re-asked of the forward path kernel, and they branch on the
+short path it returns.  The tiered oracle's screens ask the same decision
+query, or a cached ``sssp_dijkstra_csr`` vector for warm root tests; where
+the backend has a fused multi-source sweep, a node's leaves run as one.  The
 ``Graph`` entry point
 :meth:`FaultCheckOracle.find_breaking_fault_set` only resolves that
 snapshot; anything that is not a ``Graph`` (an
@@ -124,12 +126,13 @@ class OracleStats:
             "oracle.band_fallbacks",
             "bidirectional decisions too close to the budget to call, "
             "re-asked of the forward kernel")
-        # Forward path-kernel queries of the exact search: the root and
-        # every branching node need the forward kernel's canonical path.
+        # Forward path-kernel queries of the decision query: the band
+        # re-asks, plus every query on a backend without the bidirectional
+        # kernel.  Rare with the shipped backends (0 on perfbench's builds).
         self._canonical_paths = self.metrics.counter(
             "oracle.canonical_paths",
-            "forward canonical-path queries in the exact search "
-            "(fallthrough roots and branching nodes)")
+            "decision queries answered by the forward path kernel "
+            "(band fallbacks, or a backend without the decision kernel)")
         self._pool_hits = self.metrics.counter(
             "oracle.pool_hits",
             "exact-search leaves and subtrees decided from the query's "
@@ -392,16 +395,37 @@ class ExhaustiveOracle(FaultCheckOracle):
         return None
 
 
+#: Relative half-width of the band around a budget inside which the exact
+#: oracles do not take the bidirectional kernel's word for ``> budget``.
+#: The forward kernels sum a path left to right from the source; the
+#: bidirectional kernel sums the same arcs from both ends toward the meeting
+#: arc.  Each of the ``h`` additions of non-negative weights rounds by at
+#: most ``ε = 2**-53`` of the running sum, so re-associating a sum of ``h``
+#: weights moves it by at most ``h·ε·dist``, and the two searches' shortest
+#: distances differ by at most ``2·h·ε·dist``.  1e-9 exceeds that for every
+#: path under four million hops: if the forward distance is ``<= budget``,
+#: the bidirectional search at ``budget·(1 + _BAND)`` finds a path, and a
+#: bidirectional distance ``<= budget·(1 - _BAND)`` puts the forward one
+#: below ``budget``.  A constant, not a knob: any value past the drift and
+#: far below the gaps between real distances gives the same answers.
+_BAND = 1e-9
+
+
 class BranchAndBoundOracle(FaultCheckOracle):
     """Exact oracle that branches only on elements of short witness paths.
 
-    Correctness: suppose some fault set ``F*`` of size ``≤ f`` works.  Consider
-    the shortest ``source``–``target`` path ``P`` in the current (partially
-    faulted) graph with length ``≤ budget``; since removing ``F*`` pushes the
-    distance above the budget, ``F*`` must contain at least one element of
-    ``P`` (an internal vertex for vertex faults, an edge for edge faults).
-    Hence trying every element of ``P`` as "the next fault" and recursing with
-    budget ``f - 1`` explores a superset of some ordering of ``F*``.
+    Correctness: suppose some fault set ``F*`` of size ``≤ f`` works.  Take
+    any live ``source``–``target`` path ``P`` in the current (partially
+    faulted) graph whose left-to-right length is ``≤ budget``; since
+    removing ``F*`` pushes the forward distance above the budget, ``F*``
+    must contain at least one element of ``P`` (an internal vertex for
+    vertex faults, an edge for edge faults).  Hence trying every element of
+    ``P`` as "the next fault" and recursing with budget ``f - 1`` explores a
+    superset of some ordering of ``F*``.  Each search node asks one
+    decision query (:meth:`_exceeds`) and branches on the path it returns,
+    so which path that is never changes a verdict, only which witness a tie
+    returns — and the query is deterministic, so witnesses are reproducible
+    and equal on every kernel backend.
 
     The worst-case complexity is ``O(L^f)`` distance queries per edge, where
     ``L`` is the hop-length of short paths — exponential in ``f`` as the paper
@@ -428,32 +452,78 @@ class BranchAndBoundOracle(FaultCheckOracle):
         )
         return model.canonical(found) if found is not None else None
 
-    def _search_csr(self, csr: CSRGraph, source: Node, target: Node,
-                    s: Optional[int], t: Optional[int], budget: float,
-                    remaining: int, model: FaultModel,
-                    current: List, mask: bytearray) -> Optional[List]:
-        """One search-tree node: query, then branch = one byte write."""
-        self.stats.count_nodes_expanded()
+    def _exceeds(self, backend, csr: CSRGraph, s: int, t: int, budget: float,
+                 vertex_mask: Optional[bytearray],
+                 edge_mask: Optional[bytearray]
+                 ) -> Tuple[bool, Optional[List[int]]]:
+        """Exactly ``bounded_dijkstra_csr(...) > budget``, with a path if not.
+
+        Returns ``(exceeded, index_path)``.  When not exceeded,
+        ``index_path`` is a live ``s``–``t`` path whose left-to-right length
+        is ``<= budget``: the forward kernel reads ``<= budget`` under these
+        masks and under any larger mask that spares the path, which is what
+        lets the search branch on it and the tiered oracle pool it.
+
+        The bidirectional kernel answers at ``budget·(1 + _BAND)``.  ``inf``
+        proves "exceeded" (see :data:`_BAND`).  A path proves "within" when
+        its bidirectional length is ``<= budget·(1 - _BAND)``, or when its
+        own left-to-right sum (:func:`~repro.paths.kernels.path_length_csr`)
+        is ``<= budget`` — which keeps exact ties, ``d == budget`` on
+        integer weights, out of the band.  Anything else is re-asked of the
+        forward path kernel and counted on ``oracle.band_fallbacks``.  A
+        backend without the bidirectional kernel answers every query that
+        way.  Each forward path-kernel call counts on
+        ``oracle.canonical_paths``.
+        """
         self.stats.count_distance_query()
-        if s is None or t is None:
-            return list(current)
-        backend = self.kernels.resolve(csr)
-        vertex_mask, edge_mask = model.kernel_masks(mask)
+        bidirectional = backend.bidirectional_bounded_path
+        if bidirectional is not None:
+            distance, index_path = bidirectional(
+                csr, s, t, budget * (1 + _BAND), vertex_mask, edge_mask)
+            if not index_path:
+                return True, None
+            if (distance <= budget * (1 - _BAND)
+                    or path_length_csr(csr, index_path) <= budget):
+                return False, index_path
+            self.stats.count_band_fallback()
+            self.stats.count_distance_query()
         self.stats.count_canonical_path()
         distance, index_path = backend.bounded_dijkstra_path_csr(
             csr, s, t, budget, vertex_mask, edge_mask)
         if distance > budget:
+            return True, None
+        return False, index_path
+
+    def _search_csr(self, csr: CSRGraph, source: Node, target: Node,
+                    s: Optional[int], t: Optional[int], budget: float,
+                    remaining: int, model: FaultModel,
+                    current: List, mask: bytearray) -> Optional[List]:
+        """One search-tree node: one decision query, then branch on its path."""
+        self.stats.count_nodes_expanded()
+        if s is None or t is None:
+            self.stats.count_distance_query()
             return list(current)
+        backend = self.kernels.resolve(csr)
+        vertex_mask, edge_mask = model.kernel_masks(mask)
+        exceeded, index_path = self._exceeds(backend, csr, s, t, budget,
+                                             vertex_mask, edge_mask)
+        if exceeded:
+            return list(current)
+        self._met_path(index_path)
         if remaining == 0:
             return None
         return self._branch(csr, source, target, s, t, budget, remaining,
                             model, current, mask, backend, index_path)
 
+    def _met_path(self, index_path: List[int]) -> None:
+        """Hook: a search node found this live short path (the tiered
+        oracle pools it)."""
+
     def _branch(self, csr: CSRGraph, source: Node, target: Node, s: int,
                 t: int, budget: float, remaining: int, model: FaultModel,
                 current: List, mask: bytearray, backend,
                 index_path: List[int]) -> Optional[List]:
-        """Try each element of a node's canonical path as the next fault."""
+        """Try each element of a node's short path as the next fault."""
         node_of = csr.node_of
         path = [node_of[index] for index in index_path]
         elements = self._path_elements(path, source, target, model)
@@ -517,22 +587,6 @@ class BranchAndBoundOracle(FaultCheckOracle):
         if model.name == "vertex":
             return [node for node in path if node != source and node != target]
         return [edge_key(path[i], path[i + 1]) for i in range(len(path) - 1)]
-
-
-#: Relative half-width of the band around a budget inside which the tiered
-#: oracle does not take the bidirectional kernel's word for ``> budget``.
-#: The forward kernels sum a path left to right from the source; the
-#: bidirectional kernel sums the same arcs from both ends toward the meeting
-#: arc.  Each of the ``h`` additions of non-negative weights rounds by at
-#: most ``ε = 2**-53`` of the running sum, so re-associating a sum of ``h``
-#: weights moves it by at most ``h·ε·dist``, and the two searches' shortest
-#: distances differ by at most ``2·h·ε·dist``.  1e-9 exceeds that for every
-#: path under four million hops: if the forward distance is ``<= budget``,
-#: the bidirectional search at ``budget·(1 + _BAND)`` finds a path, and a
-#: bidirectional distance ``<= budget·(1 - _BAND)`` puts the forward one
-#: below ``budget``.  A constant, not a knob: any value past the drift and
-#: far below the gaps between real distances gives the same answers.
-_BAND = 1e-9
 
 
 def has_hitting_set(sets: List[FrozenSet[int]], size: int) -> bool:
@@ -641,34 +695,26 @@ class TieredOracle(BranchAndBoundOracle):
 
     A fallthrough runs the branch-and-bound search (:meth:`_exact_from_root`)
     over a per-query **path pool** (:class:`_PathPool`): every live short
-    path the query has met — the root test's, packing's, each branching
-    node's canonical path and each leaf's "within" path — as the set of its
-    faultable mask indices.  A search node with current faults ``C`` and
-    remaining budget ``r`` first asks the pool: if the pooled paths ``C``
-    spares admit no hitting set of size ``≤ r`` (:func:`has_hitting_set`;
-    at a leaf, if any pooled path survives), every extension ``F'`` with
-    ``|F'| ≤ r`` misses a pooled path, which stays live in
-    ``H \\ (C ∪ F')`` with left-to-right length ``≤ budget``; the forward
-    kernel then reads ``≤ budget`` throughout the subtree, so the plain
-    search's subtree answers ``None`` and the node returns ``None`` with no
-    kernel call.  Nodes the pool cannot decide run exactly as in the plain
-    search: branching nodes branch on the forward path kernel's canonical
-    path (``bounded_dijkstra_path_csr``), so witnesses match the plain exact
-    oracle's, and leaves, where nothing but the ``> budget`` verdict is
-    read, become decision queries.
-
-    Decision queries (screens 2–3 and the leaves) go through
-    :meth:`_exceeds`: the bidirectional kernel
-    (``bidirectional_bounded_path``) where the backend has one, with a band
-    of :data:`_BAND` around the budget re-asked of the forward kernel, so
-    every verdict equals ``bounded_dijkstra_csr(...) > budget`` exactly.
+    path the query has met — the root test's, packing's and each search
+    node's decision-query path — as the set of its faultable mask indices.
+    A search node with current faults ``C`` and remaining budget ``r``
+    first asks the pool: if the pooled paths ``C`` spares admit no hitting
+    set of size ``≤ r`` (:func:`has_hitting_set`; at a leaf, if any pooled
+    path survives), every extension ``F'`` with ``|F'| ≤ r`` misses a
+    pooled path, which stays live in ``H \\ (C ∪ F')`` with left-to-right
+    length ``≤ budget``; the forward kernel then reads ``≤ budget``
+    throughout the subtree, so the plain search's subtree answers ``None``
+    and the node returns ``None`` with no kernel call.  Nodes the pool
+    cannot decide run exactly as in the plain search: one decision query
+    (:meth:`_exceeds`), then branch on its path.  Screens 2–3 ask the same
+    query, so the root branches on the root test's path whenever the root
+    test holds one.
 
     Outcomes land on the ``oracle.screen{outcome=}`` counter ("accept",
     "reject", "fallthrough"); fallthroughs also count ``oracle.exact``,
-    band re-asks count ``oracle.band_fallbacks``, the exact search's
-    forward canonical-path queries (roots and branching nodes) count
-    ``oracle.canonical_paths``, nodes the pool decides count
-    ``oracle.pool_hits``, and the per-build hit rate feeds the
+    band re-asks count ``oracle.band_fallbacks`` (and, as forward
+    path-kernel calls, ``oracle.canonical_paths``), nodes the pool decides
+    count ``oracle.pool_hits``, and the per-build hit rate feeds the
     ``oracle.screen_hit_rate`` histogram.
     """
 
@@ -746,81 +792,25 @@ class TieredOracle(BranchAndBoundOracle):
                                       max_faults, model, root_path)
         return model.canonical(found) if found is not None else None
 
-    # ------------------------------------------------------------- queries
-    def _exceeds(self, backend, csr: CSRGraph, s: int, t: int, budget: float,
-                 vertex_mask: Optional[bytearray],
-                 edge_mask: Optional[bytearray]
-                 ) -> Tuple[bool, Optional[List[int]]]:
-        """Exactly ``bounded_dijkstra_csr(...) > budget``, with a path if not.
-
-        Returns ``(exceeded, index_path)``.  When not exceeded,
-        ``index_path`` is a live ``s``–``t`` path whose left-to-right length
-        is ``<= budget``: the forward kernel reads ``<= budget`` under these
-        masks and under any larger mask that spares the path, which is what
-        lets the callers pool it.
-
-        The bidirectional kernel answers at ``budget·(1 + _BAND)``.  ``inf``
-        proves "exceeded" (see :data:`_BAND`).  A path proves "within" when
-        its bidirectional length is ``<= budget·(1 - _BAND)``, or when its
-        own left-to-right sum (:func:`~repro.paths.kernels.path_length_csr`)
-        is ``<= budget`` — which keeps exact ties, ``d == budget`` on
-        integer weights, out of the band.  Anything else is re-asked of the
-        forward path kernel and counted on ``oracle.band_fallbacks``; so is
-        every query on a backend without the bidirectional kernel.
-        """
-        self.stats.count_distance_query()
-        bidirectional = backend.bidirectional_bounded_path
-        if bidirectional is not None:
-            distance, index_path = bidirectional(
-                csr, s, t, budget * (1 + _BAND), vertex_mask, edge_mask)
-            if not index_path:
-                return True, None
-            if (distance <= budget * (1 - _BAND)
-                    or path_length_csr(csr, index_path) <= budget):
-                return False, index_path
-            self.stats.count_band_fallback()
-            self.stats.count_distance_query()
-        distance, index_path = backend.bounded_dijkstra_path_csr(
-            csr, s, t, budget, vertex_mask, edge_mask)
-        if distance > budget:
-            return True, None
-        return False, index_path
-
+    # ------------------------------------------------------------- search
     def _search_csr(self, csr: CSRGraph, source: Node, target: Node,
                     s: Optional[int], t: Optional[int], budget: float,
                     remaining: int, model: FaultModel,
                     current: List, mask: bytearray) -> Optional[List]:
         """The inherited search node, asking the path pool before any kernel.
 
-        A node the pool decides returns ``None`` (see the class docstring).
-        Otherwise a ``remaining == 0`` node only reads whether the distance
-        exceeds the budget, and :meth:`_exceeds` gives exactly that
-        verdict; a branching node pools and branches on the forward
-        kernel's canonical path.
+        A node the pool decides returns ``None`` (see the class docstring);
+        any other runs the plain node, whose path joins the pool.
         """
         if self._pool.decides(set(model.mask_indices(csr, current)),
                               remaining):
             self.stats.count_pool_hit()
             return None
-        self.stats.count_nodes_expanded()
-        backend = self.kernels.resolve(csr)
-        vertex_mask, edge_mask = model.kernel_masks(mask)
-        if not remaining:
-            exceeded, index_path = self._exceeds(backend, csr, s, t, budget,
-                                                 vertex_mask, edge_mask)
-            if exceeded:
-                return list(current)
-            self._pool.add(index_path)
-            return None
-        self.stats.count_distance_query()
-        self.stats.count_canonical_path()
-        distance, index_path = backend.bounded_dijkstra_path_csr(
-            csr, s, t, budget, vertex_mask, edge_mask)
-        if distance > budget:
-            return list(current)
+        return super()._search_csr(csr, source, target, s, t, budget,
+                                   remaining, model, current, mask)
+
+    def _met_path(self, index_path: List[int]) -> None:
         self._pool.add(index_path)
-        return self._branch(csr, source, target, s, t, budget, remaining,
-                            model, current, mask, backend, index_path)
 
     def _fused_leaf_search(self, csr: CSRGraph, s: int, t: int, budget: float,
                            model: FaultModel, elements: List, current: List,
@@ -860,7 +850,7 @@ class TieredOracle(BranchAndBoundOracle):
         cache through the ``num_edges`` component of the key, and a
         recompiled snapshot through its (strongly held) object.  Vector reads
         return no path; the first candidate of a run asks :meth:`_exceeds`,
-        whose path seeds the packing screen.
+        whose path seeds the packing screen and the exact search's root.
         """
         key = (csr, csr.num_edges, s)
         if self._sssp_key == key and self._sssp_dist is not None:
@@ -879,28 +869,25 @@ class TieredOracle(BranchAndBoundOracle):
                          s: int, t: int, budget: float, max_faults: int,
                          model: FaultModel,
                          root_path: Optional[List[int]]) -> Optional[List]:
-        """The exact branch-and-bound search, reusing a canonical root path.
+        """The exact branch-and-bound search, branching on the root test's path.
 
-        Without a bidirectional kernel the root test's path came from the
-        forward path kernel — exactly the path
-        :meth:`BranchAndBoundOracle._search_csr`'s root would branch on — so
-        the root node branches on it without re-issuing its query.  A
-        bidirectional path (or none, after a warm-cache read) is not that
-        canonical path: the search then starts from scratch and pays the
-        root's forward query itself.  Either way the children recurse
-        through ``_search_csr``, so the found fault set is byte-identical to
-        the plain exact oracle's.  The pool never decides the root: packing
-        failed, so it holds at most ``f`` disjoint paths, which ``f``
-        elements hit.
+        The root test asked the plain search's root decision query (an
+        all-zero mask reads as no mask), so when it returned a path the
+        root node branches on it without asking again; after a warm-cache
+        read there is none, and the root asks for itself.  Either way the
+        children recurse through ``_search_csr``, so the found fault set is
+        byte-identical to the plain exact oracle's.  The pool never decides
+        the root: packing failed, so it holds at most ``f`` disjoint paths,
+        which ``f`` elements hit.
         """
         mask = model.new_mask(csr)
-        backend = self.kernels.resolve(csr)
-        if root_path is None or backend.bidirectional_bounded_path is not None:
+        if root_path is None:
             return self._search_csr(csr, source, target, s, t, budget,
                                     max_faults, model, [], mask)
         self.stats.count_nodes_expanded()
         return self._branch(csr, source, target, s, t, budget, max_faults,
-                            model, [], mask, backend, root_path)
+                            model, [], mask, self.kernels.resolve(csr),
+                            root_path)
 
     def _scratch_mask(self, csr: CSRGraph, model: FaultModel) -> bytearray:
         width = csr.num_nodes if model.uses_vertex_mask else csr.num_edges

@@ -356,8 +356,8 @@ class TestTieredDecisionQueries:
         # leaf that faults "c" would read "within".
         graph.add_edge(0, "c", budget / 2)
         graph.add_edge("c", target, budget / 2)
-        # Pinned to the backend that carries the bidirectional kernel (the
-        # suite also runs under REPRO_KERNEL=numpy, which has none).
+        # Pinned to the loop backend, whose leaves ask the decision kernel
+        # one by one (numpy's run as one fused forward sweep).
         tiered = TieredOracle(kernel="loop")
         for max_faults in (0, 1, 2):
             for source, sink in ((0, target), (target, 0)):
@@ -381,21 +381,30 @@ class TestTieredDecisionQueries:
         assert delta.get("oracle.band_fallbacks", 0) == 0
 
 
-def _counting_kernels(calls):
-    """The loop backend with its forward path kernel counting calls."""
+def _counting_kernels(calls, decisions=None):
+    """The loop backend with its forward path kernel and its decision
+    kernel counting calls (into ``calls`` and ``decisions``)."""
     loop = get_kernels("loop")
+    decisions = [] if decisions is None else decisions
 
     def path_kernel(*args):
         calls.append(args[1:3])
         return loop.bounded_dijkstra_path_csr(*args)
 
-    return dataclasses.replace(loop, bounded_dijkstra_path_csr=path_kernel)
+    def decision_kernel(*args):
+        decisions.append(args[1:3])
+        return loop.bidirectional_bounded_path(*args)
+
+    return dataclasses.replace(loop, bounded_dijkstra_path_csr=path_kernel,
+                               bidirectional_bounded_path=decision_kernel)
 
 
 class TestCanonicalPathCounter:
-    """``oracle.canonical_paths`` counts the exact search's forward
-    path-kernel queries: every call of ``bounded_dijkstra_path_csr`` an
-    exact search makes, apart from the tiered oracle's band re-asks."""
+    """``oracle.canonical_paths`` counts the exact oracles' forward
+    path-kernel queries.  Both exact searches branch on the decision
+    query's path, so the forward path kernel only answers the decision
+    queries too close to the budget to call: ``canonical_paths ==
+    band_fallbacks ==`` forward path-kernel calls."""
 
     @pytest.mark.parametrize("fault_model", ["vertex", "edge"])
     @pytest.mark.parametrize("oracle_class", [TieredOracle,
@@ -403,31 +412,47 @@ class TestCanonicalPathCounter:
     def test_reconciles_with_the_path_kernel_calls(self, fault_model,
                                                    oracle_class):
         graph = generators.gnm(24, 110, rng=5, connected=True, weighted=True)
-        calls = []
-        oracle = oracle_class(kernel=_counting_kernels(calls))
+        calls, decisions = [], []
+        oracle = oracle_class(kernel=_counting_kernels(calls, decisions))
         before = get_registry().counters()
         ft_greedy_spanner(graph, 3, 2, fault_model, oracle=oracle)
         delta = get_registry().counters_delta(before)
         canonical = delta.get("oracle.canonical_paths", 0)
-        assert canonical > 0
-        assert canonical + delta.get("oracle.band_fallbacks", 0) == len(calls)
+        assert canonical == delta.get("oracle.band_fallbacks", 0) == len(calls)
+        # Every search node and screen asked the decision kernel; the
+        # search expanded nodes, so it ran.
+        assert delta.get("oracle.nodes_expanded", 0) > 0
+        assert len(decisions) > 0
         if oracle_class is TieredOracle:
-            # Fallthrough roots (the bidirectional root test returns no
-            # canonical path) plus branching nodes; leaves ask _exceeds.
-            fallthroughs = delta.get('oracle.screen{outcome="fallthrough"}', 0)
-            assert fallthroughs <= canonical
+            assert delta.get('oracle.screen{outcome="fallthrough"}', 0) > 0
+
+    @pytest.mark.parametrize("oracle_class", [TieredOracle,
+                                              BranchAndBoundOracle])
+    def test_band_re_asks_are_the_forward_path_calls(self, oracle_class):
+        # 0-1-2-3 sums to 0.9 from both ends but 0.9000000000000001 from
+        # 0: every decision query that meets it lands in the band.
+        graph = Graph(edges=[(0, 1, 0.4), (1, 2, 0.2), (2, 3, 0.3),
+                             (0, "c", 0.45), ("c", 3, 0.45)])
+        calls = []
+        oracle = oracle_class(kernel=_counting_kernels(calls))
+        assert oracle.find_breaking_fault_set(graph, 0, 3, 0.9, 1,
+                                              "vertex") == frozenset({"c"})
+        assert oracle.stats.canonical_paths == oracle.stats.band_fallbacks \
+            == len(calls) > 0
 
     def test_direct_query_counts_every_search_node(self):
         # Two disjoint 0-3 paths under budget 5: the root branches on 4
         # (path 0-4-3), its child on 1 (path 0-1-2-3), and that child's
-        # leaf reads inf.  Plain branch-and-bound asks the path kernel at
-        # every node, leaves included.
+        # leaf reads inf.  Plain branch-and-bound asks one decision query
+        # at every node, leaves included, and no forward path query.
         graph = Graph(edges=[(0, 1), (1, 2), (2, 3), (0, 4), (4, 3)])
-        calls = []
-        oracle = BranchAndBoundOracle(kernel=_counting_kernels(calls))
+        calls, decisions = [], []
+        oracle = BranchAndBoundOracle(kernel=_counting_kernels(calls,
+                                                               decisions))
         assert oracle.find_breaking_fault_set(graph, 0, 3, 5.0, 2,
                                               "vertex") == frozenset({1, 4})
-        assert oracle.stats.canonical_paths == len(calls) == 3
+        assert len(decisions) == oracle.stats.distance_queries == 3
+        assert oracle.stats.canonical_paths == len(calls) == 0
 
 
 class TestStats:
@@ -457,9 +482,9 @@ def _brute_force_hitting_set(sets, size):
                for chosen in map(set, itertools.combinations(universe, count)))
 
 
-#: Both kernel backends: the loop one carries the bidirectional decision
-#: kernel (leaves pool their paths), the numpy one fuses each node's leaves
-#: into one sweep (only canonical paths are pooled).
+#: Both kernel backends: both branch on the decision kernel's path; the
+#: loop one asks it at every leaf too (leaves pool their paths), the numpy
+#: one fuses each node's leaves into one sweep (leaf paths are not pooled).
 KERNELS = ["loop", "numpy"]
 
 

@@ -452,6 +452,23 @@ class TestConsumersByteIdentical:
                 == sorted(results[1].spanner.edge_keys()))
         assert results[0].witness_fault_sets == results[1].witness_fault_sets
 
+    @pytest.mark.parametrize("fault_model", ["vertex", "edge"])
+    @pytest.mark.parametrize("max_faults", [1, 2])
+    def test_tie_heavy_builds_identical(self, fault_model, max_faults):
+        # Unit weights tie many shortest paths; the exact searches branch on
+        # the decision kernel's path, so witnesses agree across backends
+        # only if both ask the same decision kernel.
+        from repro.spanners.ft_greedy import ft_greedy_spanner
+
+        for seed in range(30):
+            graph = generators.gnm(22, 70, rng=seed, connected=True)
+            loop, numpy = (ft_greedy_spanner(graph, 3, max_faults,
+                                             fault_model, kernel=name)
+                           for name in ("loop", "numpy"))
+            assert (list(loop.spanner.edges())
+                    == list(numpy.spanner.edges())), seed
+            assert loop.witness_fault_sets == numpy.witness_fault_sets, seed
+
     def test_suite_style_oracle_identical(self):
         from repro.spanners.fault_check import get_oracle
 

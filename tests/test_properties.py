@@ -9,14 +9,18 @@ can explore many cases quickly.
 
 import math
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.faults.models import get_fault_model
+from repro.graph import generators
 from repro.graph.core import Graph, edge_key
+from repro.graph.csr import csr_snapshot
 from repro.graph.girth import enumerate_short_cycles, girth
 from repro.graph.views import graph_minus
 from repro.paths.dijkstra import bounded_distance, dijkstra_distances, shortest_path
+from repro.paths.kernels import bounded_dijkstra_csr
 from repro.spanners.blocking import extract_blocking_set, is_blocking_set
 from repro.spanners.fault_check import BranchAndBoundOracle
 from repro.spanners.ft_greedy import ft_greedy_spanner
@@ -186,6 +190,51 @@ def test_ft_greedy_witnesses_are_genuine(graph, fault_model):
         else:
             for element in witness:
                 assert element == edge_key(*element)
+
+
+@pytest.mark.parametrize("kernel", ["loop", "numpy"])
+@pytest.mark.parametrize("fault_model", ["vertex", "edge"])
+@pytest.mark.parametrize("faults", [1, 2])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_ft_greedy_witnesses_break_their_prefix(weighted, faults, fault_model,
+                                               kernel):
+    """Each kept edge's witness F_e breaks e in the spanner built before e.
+
+    Replays the insertion order (the witness map's order) and asks the
+    forward kernel on H_{<e} \\ F_e, the graph the oracle saw when it kept
+    e: Lemma 3 needs exactly this of every witness, and any breaking set
+    will do, so the check holds whichever short paths the search branched on.
+    """
+    if kernel == "numpy":
+        pytest.importorskip("numpy")
+    stretch = 3
+    model = get_fault_model(fault_model)
+    for seed in range(4):
+        graph = generators.gnm(16, 48, rng=seed, connected=True,
+                               weighted=weighted)
+        result = ft_greedy_spanner(graph, stretch, faults, fault_model,
+                                   kernel=kernel)
+        witnesses = result.witness_fault_sets
+        assert set(witnesses) == set(result.spanner.edge_keys())
+        prefix = Graph(nodes=graph.nodes())
+        for (u, v), witness in witnesses.items():
+            assert len(witness) <= faults
+            csr = csr_snapshot(prefix)
+            if fault_model == "vertex":
+                assert u not in witness and v not in witness
+                assert all(prefix.has_node(x) for x in witness)
+            else:
+                assert all(prefix.has_edge(*x) and x == edge_key(*x)
+                           for x in witness)
+            mask = model.new_mask(csr)
+            for index in model.mask_indices(csr, witness):
+                mask[index] = 1
+            budget = stretch * graph.weight(u, v)
+            distance = bounded_dijkstra_csr(
+                csr, csr.index_of[u], csr.index_of[v], budget,
+                *model.kernel_masks(mask))
+            assert distance > budget, (seed, (u, v), witness)
+            prefix.add_edge(u, v, graph.weight(u, v))
 
 
 @SETTINGS
