@@ -1,7 +1,7 @@
 """Kernel backend registry: named, swappable implementations of the CSR kernels.
 
 Mirrors the execution-backend registry in :mod:`repro.runtime.backend`: each
-backend is a named bundle of the six CSR kernel callables, consumers resolve
+backend is a named bundle of the CSR kernel callables, consumers resolve
 one by name (or take the default), and unknown names fail loudly with the
 list of registered names.  Two backends ship:
 
@@ -16,8 +16,8 @@ list of registered names.  Two backends ship:
     only when numpy imports; resolving it without numpy raises
     ``RuntimeError`` with the import failure.
 
-Both backends carry the decision kernel ``bidirectional_bounded_path``,
-and both carry the same one: the loop
+Every backend carries the decision kernel ``bidirectional_bounded_path``,
+and both shipped ones carry the same one: the loop
 :func:`~repro.paths.kernels.bidirectional_bounded_path_csr`, which reads
 the same snapshot.  It has no twin rule (its tied paths are its own
 choice), so one implementation is what keeps the exact oracles, which
@@ -25,8 +25,8 @@ branch on its path, returning the same witnesses on every backend.
 ``loop`` also carries ``multi_target_tree`` (a multi-target search that
 also returns its shortest-path tree), with no numpy twin.  The optional
 fields are ``None`` on ``auto``; consumers call them on the backend
-:meth:`KernelBackend.resolve` returns and fall back without them (to the
-forward kernels, and to searching every verification source).
+:meth:`KernelBackend.resolve` returns and fall back without them (to
+per-query calls, and to searching every verification source).
 
 The default is ``auto``: a dispatching backend that picks ``numpy`` for CSR
 snapshots with at least :data:`AUTO_NODE_THRESHOLD` nodes (where the array
@@ -75,15 +75,15 @@ def _count_dispatch(name: str) -> None:
 class KernelBackend:
     """A named bundle of CSR kernel callables.
 
-    The six required kernels share signatures with their reference
-    definitions in :mod:`repro.paths.kernels`.  The optional entry points
-    are ``None`` when a backend has no implementation: consumers fall back
-    to per-query calls of the batched ones, to the forward bounded kernels
-    for ``bidirectional_bounded_path`` (the decision kernel
-    :func:`repro.paths.kernels.bidirectional_bounded_path_csr`, which both
-    shipped backends register), and to unmemoised verification sweeps
-    without ``multi_target_tree``
-    (:func:`repro.paths.kernels.multi_target_tree_csr`, ``loop`` only).
+    The seven required kernels share signatures with their reference
+    definitions in :mod:`repro.paths.kernels`; ``bidirectional_bounded_path``
+    is the exact oracles' decision kernel
+    (:func:`repro.paths.kernels.bidirectional_bounded_path_csr`).  The
+    optional entry points are ``None`` when a backend has no
+    implementation: consumers fall back to per-query calls of the batched
+    ones, and to unmemoised verification sweeps without
+    ``multi_target_tree`` (:func:`repro.paths.kernels.multi_target_tree_csr`,
+    ``loop`` only).
     """
 
     name: str
@@ -94,9 +94,9 @@ class KernelBackend:
     multi_target_dijkstra_csr: Callable
     bfs_distances_csr: Callable
     bounded_bfs_csr: Callable
+    bidirectional_bounded_path: Callable
     multi_source_sssp: Optional[Callable] = None
     multi_source_multi_target: Optional[Callable] = None
-    bidirectional_bounded_path: Optional[Callable] = None
     multi_target_tree: Optional[Callable] = None
 
     def resolve(self, csr: CSRGraph) -> "KernelBackend":
@@ -231,4 +231,5 @@ _REGISTRY["auto"] = _AutoKernelBackend(
     multi_target_dijkstra_csr=_auto_dispatch("multi_target_dijkstra_csr"),
     bfs_distances_csr=_auto_dispatch("bfs_distances_csr"),
     bounded_bfs_csr=_auto_dispatch("bounded_bfs_csr"),
+    bidirectional_bounded_path=_auto_dispatch("bidirectional_bounded_path"),
 )

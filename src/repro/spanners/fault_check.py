@@ -30,8 +30,9 @@ an open problem.  This module provides four oracles behind one interface:
   cheap *sound* screens (warm-started distance vectors shared across
   consecutive candidates with the same source, disjoint short-path packing)
   answer most candidates outright, and only the undecided margin falls
-  through to the branch-and-bound search.  That search keeps a per-query
-  *pool* of every short path the query has found so far, and a search node
+  through to the branch-and-bound search — the same
+  :meth:`BranchAndBoundOracle._search`, handed a per-query *pool* of every
+  short path the query has found so far, so that a search node
   whose spared pooled paths admit no hitting set within its remaining
   budget is decided without a kernel call.  The screens may certify a
   reject or certify the exact oracle's accept (with the identical empty
@@ -50,10 +51,10 @@ Every oracle runs on the compiled CSR snapshot of the queried
 spanner ``H``) with *fault masks*: trying a candidate fault set is a few byte
 writes on a mask, and the distance query itself runs the array-native
 kernels.  The exhaustive and heuristic oracles ask only the forward kernels
-(``bounded_dijkstra_csr`` and its path twin).  The exact searches ask one
+(``bounded_dijkstra_csr`` and its path twin).  The exact search asks one
 *decision query* (:meth:`BranchAndBoundOracle._exceeds`) per search node:
 the bidirectional kernel ``bidirectional_bounded_path``, with a band around
-the budget re-asked of the forward path kernel, and they branch on the
+the budget re-asked of the forward path kernel, and it branches on the
 short path it returns.  The tiered oracle's screens ask the same decision
 query, or a cached ``sssp_dijkstra_csr`` vector for warm root tests; where
 the backend has a fused multi-source sweep, a node's leaves run as one.  The
@@ -98,8 +99,7 @@ class OracleStats:
 
     __slots__ = ("metrics", "_queries", "_distance_queries", "_nodes_expanded",
                  "_screen", "_screen_children", "_exact", "_band_fallbacks",
-                 "_canonical_paths", "_pool_hits",
-                 "_screen_hit_rate")
+                 "_pool_hits", "_screen_hit_rate")
 
     def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
         self.metrics = (metrics if metrics is not None
@@ -122,17 +122,12 @@ class OracleStats:
         self._screen_children: Dict[str, object] = {}
         self._exact = self.metrics.counter(
             "oracle.exact", "fault checks answered by the exact search")
+        # The decision query's only forward path-kernel calls.  Rare (0 on
+        # perfbench's builds).
         self._band_fallbacks = self.metrics.counter(
             "oracle.band_fallbacks",
             "bidirectional decisions too close to the budget to call, "
             "re-asked of the forward kernel")
-        # Forward path-kernel queries of the decision query: the band
-        # re-asks, plus every query on a backend without the bidirectional
-        # kernel.  Rare with the shipped backends (0 on perfbench's builds).
-        self._canonical_paths = self.metrics.counter(
-            "oracle.canonical_paths",
-            "decision queries answered by the forward path kernel "
-            "(band fallbacks, or a backend without the decision kernel)")
         self._pool_hits = self.metrics.counter(
             "oracle.pool_hits",
             "exact-search leaves and subtrees decided from the query's "
@@ -186,10 +181,6 @@ class OracleStats:
         return self._band_fallbacks.value
 
     @property
-    def canonical_paths(self) -> int:
-        return self._canonical_paths.value
-
-    @property
     def pool_hits(self) -> int:
         return self._pool_hits.value
 
@@ -214,9 +205,6 @@ class OracleStats:
 
     def count_band_fallback(self) -> None:
         self._band_fallbacks.inc()
-
-    def count_canonical_path(self) -> None:
-        self._canonical_paths.inc()
 
     def count_pool_hit(self) -> None:
         self._pool_hits.inc()
@@ -278,11 +266,10 @@ def candidate_elements_csr(model: FaultModel, csr: CSRGraph, source: Node,
 
     Vertex candidates come back in ``csr.node_of`` order, which equals the
     source graph's node-insertion order; edge candidates come back in
-    undirected-edge-id order (the compile/append order of the snapshot).
-    Callers that need the exact :meth:`Graph.edges` iteration order — it can
-    differ from id order after incremental appends — should pass an explicit
-    ``candidates`` list to :meth:`FaultCheckOracle.find_breaking_fault_set_csr`
-    instead; enumeration order decides which witness a tie returns.
+    undirected-edge-id order (the compile/append order of the snapshot),
+    which can differ from :meth:`Graph.edges` order.  The exhaustive oracle
+    enumerates fault sets in this order, and the order decides which witness
+    a tie returns, so serial and worker checks of one snapshot agree.
     """
     if model.uses_vertex_mask:
         return [node for node in csr.node_of
@@ -327,16 +314,13 @@ class FaultCheckOracle(ABC):
     def find_breaking_fault_set_csr(self, csr: CSRGraph, source: Node,
                                     target: Node, budget: float,
                                     max_faults: int,
-                                    fault_model: "str | FaultModel",
-                                    candidates: Optional[List] = None) -> Optional[FaultSet]:
+                                    fault_model: "str | FaultModel") -> Optional[FaultSet]:
         """:meth:`find_breaking_fault_set` on a compiled snapshot.
 
         Operates directly on the snapshot, so the check can run in a worker
         process that only received the (picklable) CSR — this is what a
         speculative :func:`repro.spanners.ft_greedy.acceptance_sweep` (a
         parallel build or repair) ships through :mod:`repro.runtime`.
-        ``candidates`` optionally pins the enumeration order of the
-        faultable elements (only the exhaustive oracle consults it).
         """
 
     def __repr__(self) -> str:
@@ -353,26 +337,13 @@ class ExhaustiveOracle(FaultCheckOracle):
     name = "exhaustive"
     exact = True
 
-    def find_breaking_fault_set(self, graph: Graph, source: Node, target: Node,
-                                budget: float, max_faults: int,
-                                fault_model: "str | FaultModel") -> Optional[FaultSet]:
-        # Candidates come from the *graph* so the enumeration order (and
-        # hence which witness a tie returns) follows ``Graph.edges()``.
-        csr = csr_snapshot(graph)
-        model = get_fault_model(fault_model)
-        return self.find_breaking_fault_set_csr(
-            csr, source, target, budget, max_faults, model,
-            candidates=model.candidate_elements(graph, source, target))
-
     def find_breaking_fault_set_csr(self, csr: CSRGraph, source: Node,
                                     target: Node, budget: float,
                                     max_faults: int,
-                                    fault_model: "str | FaultModel",
-                                    candidates: Optional[List] = None) -> Optional[FaultSet]:
+                                    fault_model: "str | FaultModel") -> Optional[FaultSet]:
         model = get_fault_model(fault_model)
         self.stats.count_query()
-        elements = (candidates if candidates is not None
-                    else candidate_elements_csr(model, csr, source, target))
+        elements = candidate_elements_csr(model, csr, source, target)
         s = csr.index_of.get(source)
         t = csr.index_of.get(target)
         mask = model.new_mask(csr)
@@ -430,6 +401,8 @@ class BranchAndBoundOracle(FaultCheckOracle):
     The worst-case complexity is ``O(L^f)`` distance queries per edge, where
     ``L`` is the hop-length of short paths — exponential in ``f`` as the paper
     says, but with a far smaller base than :class:`ExhaustiveOracle`.
+    :class:`TieredOracle` runs this same search (:meth:`_search`) behind its
+    screens, with a path pool that decides some nodes without a kernel call.
     """
 
     name = "branch-and-bound"
@@ -438,18 +411,19 @@ class BranchAndBoundOracle(FaultCheckOracle):
     def find_breaking_fault_set_csr(self, csr: CSRGraph, source: Node,
                                     target: Node, budget: float,
                                     max_faults: int,
-                                    fault_model: "str | FaultModel",
-                                    candidates: Optional[List] = None) -> Optional[FaultSet]:
-        # ``candidates`` is ignored: the branching elements come from the
-        # witness paths themselves, never from a global enumeration.
+                                    fault_model: "str | FaultModel") -> Optional[FaultSet]:
         model = get_fault_model(fault_model)
         self.stats.count_query()
-        mask = model.new_mask(csr)
-        found = self._search_csr(
-            csr, source, target,
-            csr.index_of.get(source), csr.index_of.get(target),
-            budget, max_faults, model, [], mask,
-        )
+        s = csr.index_of.get(source)
+        t = csr.index_of.get(target)
+        if s is None or t is None:
+            # No path reaches an endpoint the snapshot lacks: the root node
+            # reads ``inf`` and the empty set breaks the pair.
+            self.stats.count_nodes_expanded()
+            self.stats.count_distance_query()
+            return model.canonical([])
+        found = self._search(csr, source, target, s, t, budget, max_faults,
+                             model, [], model.new_mask(csr), None)
         return model.canonical(found) if found is not None else None
 
     def _exceeds(self, backend, csr: CSRGraph, s: int, t: int, budget: float,
@@ -470,63 +444,56 @@ class BranchAndBoundOracle(FaultCheckOracle):
         own left-to-right sum (:func:`~repro.paths.kernels.path_length_csr`)
         is ``<= budget`` — which keeps exact ties, ``d == budget`` on
         integer weights, out of the band.  Anything else is re-asked of the
-        forward path kernel and counted on ``oracle.band_fallbacks``.  A
-        backend without the bidirectional kernel answers every query that
-        way.  Each forward path-kernel call counts on
-        ``oracle.canonical_paths``.
+        forward path kernel and counted on ``oracle.band_fallbacks``.
         """
         self.stats.count_distance_query()
-        bidirectional = backend.bidirectional_bounded_path
-        if bidirectional is not None:
-            distance, index_path = bidirectional(
-                csr, s, t, budget * (1 + _BAND), vertex_mask, edge_mask)
-            if not index_path:
-                return True, None
-            if (distance <= budget * (1 - _BAND)
-                    or path_length_csr(csr, index_path) <= budget):
-                return False, index_path
-            self.stats.count_band_fallback()
-            self.stats.count_distance_query()
-        self.stats.count_canonical_path()
+        distance, index_path = backend.bidirectional_bounded_path(
+            csr, s, t, budget * (1 + _BAND), vertex_mask, edge_mask)
+        if not index_path:
+            return True, None
+        if (distance <= budget * (1 - _BAND)
+                or path_length_csr(csr, index_path) <= budget):
+            return False, index_path
+        self.stats.count_band_fallback()
+        self.stats.count_distance_query()
         distance, index_path = backend.bounded_dijkstra_path_csr(
             csr, s, t, budget, vertex_mask, edge_mask)
         if distance > budget:
             return True, None
         return False, index_path
 
-    def _search_csr(self, csr: CSRGraph, source: Node, target: Node,
-                    s: Optional[int], t: Optional[int], budget: float,
-                    remaining: int, model: FaultModel,
-                    current: List, mask: bytearray) -> Optional[List]:
-        """One search-tree node: one decision query, then branch on its path."""
+    def _search(self, csr: CSRGraph, source: Node, target: Node, s: int,
+                t: int, budget: float, remaining: int, model: FaultModel,
+                current: List, mask: bytearray, pool: Optional[_PathPool],
+                index_path: Optional[List[int]] = None) -> Optional[List]:
+        """One search-tree node: faults ``current`` (set in ``mask``), and
+        up to ``remaining`` more.  Returns a breaking fault list or ``None``.
+
+        ``pool`` is the tiered query's :class:`_PathPool` (``None`` for the
+        plain search).  A node the pool decides returns ``None`` with no
+        kernel call; any other asks one decision query (:meth:`_exceeds`),
+        pools its path and branches on it.  ``index_path`` is that query's
+        path when the caller already holds it (the tiered root test's).
+        """
+        if pool is not None and pool.decides(
+                set(model.mask_indices(csr, current)), remaining):
+            self.stats.count_pool_hit()
+            return None
         self.stats.count_nodes_expanded()
-        if s is None or t is None:
-            self.stats.count_distance_query()
-            return list(current)
         backend = self.kernels.resolve(csr)
-        vertex_mask, edge_mask = model.kernel_masks(mask)
-        exceeded, index_path = self._exceeds(backend, csr, s, t, budget,
-                                             vertex_mask, edge_mask)
-        if exceeded:
-            return list(current)
-        self._met_path(index_path)
+        if index_path is None:
+            vertex_mask, edge_mask = model.kernel_masks(mask)
+            exceeded, index_path = self._exceeds(backend, csr, s, t, budget,
+                                                 vertex_mask, edge_mask)
+            if exceeded:
+                return list(current)
+            if pool is not None:
+                pool.add(index_path)
         if remaining == 0:
             return None
-        return self._branch(csr, source, target, s, t, budget, remaining,
-                            model, current, mask, backend, index_path)
-
-    def _met_path(self, index_path: List[int]) -> None:
-        """Hook: a search node found this live short path (the tiered
-        oracle pools it)."""
-
-    def _branch(self, csr: CSRGraph, source: Node, target: Node, s: int,
-                t: int, budget: float, remaining: int, model: FaultModel,
-                current: List, mask: bytearray, backend,
-                index_path: List[int]) -> Optional[List]:
-        """Try each element of a node's short path as the next fault."""
         node_of = csr.node_of
-        path = [node_of[index] for index in index_path]
-        elements = self._path_elements(path, source, target, model)
+        elements = self._path_elements([node_of[index] for index in index_path],
+                                       source, target, model)
         if (remaining == 1 and len(elements) > 1
                 and backend.multi_source_multi_target is not None):
             # Every child of this node is a leaf (remaining == 0): its whole
@@ -535,13 +502,13 @@ class BranchAndBoundOracle(FaultCheckOracle):
             # Dijkstra per branch.  The leaves are the bulk of the O(L^f)
             # tree, which is where the per-branch query cost lived.
             return self._fused_leaf_search(csr, s, t, budget, model, elements,
-                                           current, mask, backend)
+                                           current, mask, backend, pool)
         for element in elements:
             index = model.mask_indices(csr, (element,))[0]
             current.append(element)
             mask[index] = 1
-            result = self._search_csr(csr, source, target, s, t, budget,
-                                      remaining - 1, model, current, mask)
+            result = self._search(csr, source, target, s, t, budget,
+                                  remaining - 1, model, current, mask, pool)
             mask[index] = 0
             current.pop()
             if result is not None:
@@ -550,16 +517,30 @@ class BranchAndBoundOracle(FaultCheckOracle):
 
     def _fused_leaf_search(self, csr: CSRGraph, s: int, t: int, budget: float,
                            model: FaultModel, elements: List, current: List,
-                           mask: bytearray, backend) -> Optional[List]:
+                           mask: bytearray, backend,
+                           pool: Optional[_PathPool]) -> Optional[List]:
         """All ``remaining == 0`` children of one node, in one fused sweep.
 
         Scanning the answers in branch order and stopping at the first
         distance beyond the budget reproduces the serial child loop's
         first-hit semantics exactly, so the returned fault list (and the
-        ``None`` miss) is byte-identical to the per-branch recursion.
+        ``None`` miss) is byte-identical to the per-branch recursion.  A
+        leaf ``pool`` decides reads "within" there, so it leaves the sweep.
         """
         import numpy as np
 
+        if pool is not None:
+            faulted = set(model.mask_indices(csr, current))
+            undecided = []
+            for element in elements:
+                index = model.mask_indices(csr, (element,))[0]
+                if pool.decides(faulted | {index}, 0):
+                    self.stats.count_pool_hit()
+                else:
+                    undecided.append(element)
+            if not undecided:
+                return None
+            elements = undecided
         rows = np.tile(np.frombuffer(bytes(mask), dtype=np.uint8),
                        (len(elements), 1))
         for row, element in enumerate(elements):
@@ -693,27 +674,28 @@ class TieredOracle(BranchAndBoundOracle):
        must answer ``None``.  Costs at most ``f + 1`` queries, against the
        exact search's ``O(L^f)``.
 
-    A fallthrough runs the branch-and-bound search (:meth:`_exact_from_root`)
-    over a per-query **path pool** (:class:`_PathPool`): every live short
-    path the query has met — the root test's, packing's and each search
-    node's decision-query path — as the set of its faultable mask indices.
-    A search node with current faults ``C`` and remaining budget ``r``
-    first asks the pool: if the pooled paths ``C`` spares admit no hitting
-    set of size ``≤ r`` (:func:`has_hitting_set`; at a leaf, if any pooled
-    path survives), every extension ``F'`` with ``|F'| ≤ r`` misses a
-    pooled path, which stays live in ``H \\ (C ∪ F')`` with left-to-right
-    length ``≤ budget``; the forward kernel then reads ``≤ budget``
-    throughout the subtree, so the plain search's subtree answers ``None``
-    and the node returns ``None`` with no kernel call.  Nodes the pool
-    cannot decide run exactly as in the plain search: one decision query
-    (:meth:`_exceeds`), then branch on its path.  Screens 2–3 ask the same
-    query, so the root branches on the root test's path whenever the root
-    test holds one.
+    A fallthrough runs the branch-and-bound search
+    (:meth:`BranchAndBoundOracle._search`) with a per-query **path pool**
+    (:class:`_PathPool`): every live short path the query has met — the
+    root test's, packing's and each search node's decision-query path — as
+    the set of its faultable mask indices.  A search node with current
+    faults ``C`` and remaining budget ``r`` first asks the pool: if the
+    pooled paths ``C`` spares admit no hitting set of size ``≤ r``
+    (:func:`has_hitting_set`; at a leaf, if any pooled path survives), every
+    extension ``F'`` with ``|F'| ≤ r`` misses a pooled path, which stays
+    live in ``H \\ (C ∪ F')`` with left-to-right length ``≤ budget``; the
+    forward kernel then reads ``≤ budget`` throughout the subtree, so the
+    plain search's subtree answers ``None`` and the node returns ``None``
+    with no kernel call.  Nodes the pool cannot decide run exactly as in
+    the plain search: one decision query (:meth:`_exceeds`), then branch on
+    its path.  Screens 2–3 ask the same query, so the root branches on the
+    root test's path whenever the root test holds one.  The pool never
+    decides the root: packing failed, so it holds at most ``f`` disjoint
+    paths, which ``f`` elements hit.
 
     Outcomes land on the ``oracle.screen{outcome=}`` counter ("accept",
     "reject", "fallthrough"); fallthroughs also count ``oracle.exact``,
-    band re-asks count ``oracle.band_fallbacks`` (and, as forward
-    path-kernel calls, ``oracle.canonical_paths``), nodes the pool decides
+    band re-asks count ``oracle.band_fallbacks``, nodes the pool decides
     count ``oracle.pool_hits``, and the per-build hit rate feeds the
     ``oracle.screen_hit_rate`` histogram.
     """
@@ -735,34 +717,24 @@ class TieredOracle(BranchAndBoundOracle):
         # Reusable packing mask (MaskBuffer discipline: writes are tracked
         # and cleared, so masking costs O(elements), not O(n)).
         self._scratch: Optional[bytearray] = None
-        #: Short paths of the query in flight (replaced by every query).
-        self._pool: Optional[_PathPool] = None
 
     def find_breaking_fault_set_csr(self, csr: CSRGraph, source: Node,
                                     target: Node, budget: float,
                                     max_faults: int,
-                                    fault_model: "str | FaultModel",
-                                    candidates: Optional[List] = None) -> Optional[FaultSet]:
-        # ``candidates`` is ignored, exactly as in the branch-and-bound
-        # search the undecided margin falls through to.
+                                    fault_model: "str | FaultModel") -> Optional[FaultSet]:
         model = get_fault_model(fault_model)
         self.stats.count_query()
         s = csr.index_of.get(source)
         t = csr.index_of.get(target)
-        if s is None or t is None:
-            # The exact search returns the empty canonical set outright for
-            # endpoints unknown to the snapshot.
-            self.stats.count_screen("accept")
-            return model.canonical([])
-        if not csr.degree(s) or not csr.degree(t):
-            # An isolated endpoint has no u–v path at all: the exact
-            # search's root query would read dist = inf > budget and accept
-            # with the empty canonical witness.  Certifying that accept from
-            # the degree alone skips the sweep *and* — on graphs where most
-            # candidates attach a new leaf node, the dominant shape at
-            # datacenter scale — lets the snapshot's overflow arcs pile up
-            # across a whole run of such accepts instead of forcing one
-            # compaction per accepted edge.
+        if s is None or t is None or not csr.degree(s) or not csr.degree(t):
+            # An endpoint unknown to the snapshot or isolated in it has no
+            # u–v path at all: the exact search's root query would read
+            # dist = inf > budget and accept with the empty canonical
+            # witness.  Certifying that accept from the degree alone skips
+            # the sweep *and* — on graphs where most candidates attach a new
+            # leaf node, the dominant shape at datacenter scale — lets the
+            # snapshot's overflow arcs pile up across a whole run of such
+            # accepts instead of forcing one compaction per accepted edge.
             self.stats.count_screen("accept")
             return model.canonical([])
         exceeded, root_path = self._root_query(csr, s, t, budget)
@@ -771,16 +743,14 @@ class TieredOracle(BranchAndBoundOracle):
             # the same verdict and returns the empty canonical witness.
             self.stats.count_screen("accept")
             return model.canonical([])
-        self._pool = _PathPool(csr, model)
-        if root_path is not None:
-            self._pool.add(root_path)
         if max_faults == 0:
             # Root distance within budget with no fault budget left: the
             # exact search answers None from its root.
             self.stats.count_screen("reject")
             return None
+        pool = _PathPool(csr, model)
         if self._packs_disjoint_paths(csr, source, target, s, t, budget,
-                                      max_faults, model, root_path):
+                                      max_faults, model, pool, root_path):
             # f+1 element-disjoint short paths (or one unfaultable path):
             # every fault set of size <= f leaves a short path intact, so
             # the exact search must reject.
@@ -788,54 +758,13 @@ class TieredOracle(BranchAndBoundOracle):
             return None
         self.stats.count_screen("fallthrough")
         self.stats.count_exact()
-        found = self._exact_from_root(csr, source, target, s, t, budget,
-                                      max_faults, model, root_path)
+        # The root test asked the root node's decision query (an all-zero
+        # mask reads as no mask), so the root branches on its path; after a
+        # warm-cache read there is none, and the root asks for itself.
+        found = self._search(csr, source, target, s, t, budget, max_faults,
+                             model, [], model.new_mask(csr), pool, root_path)
         return model.canonical(found) if found is not None else None
 
-    # ------------------------------------------------------------- search
-    def _search_csr(self, csr: CSRGraph, source: Node, target: Node,
-                    s: Optional[int], t: Optional[int], budget: float,
-                    remaining: int, model: FaultModel,
-                    current: List, mask: bytearray) -> Optional[List]:
-        """The inherited search node, asking the path pool before any kernel.
-
-        A node the pool decides returns ``None`` (see the class docstring);
-        any other runs the plain node, whose path joins the pool.
-        """
-        if self._pool.decides(set(model.mask_indices(csr, current)),
-                              remaining):
-            self.stats.count_pool_hit()
-            return None
-        return super()._search_csr(csr, source, target, s, t, budget,
-                                   remaining, model, current, mask)
-
-    def _met_path(self, index_path: List[int]) -> None:
-        self._pool.add(index_path)
-
-    def _fused_leaf_search(self, csr: CSRGraph, s: int, t: int, budget: float,
-                           model: FaultModel, elements: List, current: List,
-                           mask: bytearray, backend) -> Optional[List]:
-        """The inherited fused leaf sweep, over the leaves the pool leaves open.
-
-        A leaf the pool decides reads "within" and is dropped from the
-        sweep; the first remaining
-        leaf beyond the budget is the serial loop's first hit, because
-        every dropped leaf before it answers ``None``.
-        """
-        faulted = set(model.mask_indices(csr, current))
-        undecided = []
-        for element in elements:
-            index = model.mask_indices(csr, (element,))[0]
-            if self._pool.decides(faulted | {index}, 0):
-                self.stats.count_pool_hit()
-            else:
-                undecided.append(element)
-        if not undecided:
-            return None
-        return super()._fused_leaf_search(csr, s, t, budget, model, undecided,
-                                          current, mask, backend)
-
-    # ------------------------------------------------------------- screens
     def _root_query(self, csr: CSRGraph, s: int, t: int,
                     budget: float) -> Tuple[bool, Optional[List[int]]]:
         """``(dist_H(u, v) > budget, short index path or None)``, warm-started.
@@ -865,30 +794,6 @@ class TieredOracle(BranchAndBoundOracle):
         self._previous_key = key
         return self._exceeds(backend, csr, s, t, budget, None, None)
 
-    def _exact_from_root(self, csr: CSRGraph, source: Node, target: Node,
-                         s: int, t: int, budget: float, max_faults: int,
-                         model: FaultModel,
-                         root_path: Optional[List[int]]) -> Optional[List]:
-        """The exact branch-and-bound search, branching on the root test's path.
-
-        The root test asked the plain search's root decision query (an
-        all-zero mask reads as no mask), so when it returned a path the
-        root node branches on it without asking again; after a warm-cache
-        read there is none, and the root asks for itself.  Either way the
-        children recurse through ``_search_csr``, so the found fault set is
-        byte-identical to the plain exact oracle's.  The pool never decides
-        the root: packing failed, so it holds at most ``f`` disjoint paths,
-        which ``f`` elements hit.
-        """
-        mask = model.new_mask(csr)
-        if root_path is None:
-            return self._search_csr(csr, source, target, s, t, budget,
-                                    max_faults, model, [], mask)
-        self.stats.count_nodes_expanded()
-        return self._branch(csr, source, target, s, t, budget, max_faults,
-                            model, [], mask, self.kernels.resolve(csr),
-                            root_path)
-
     def _scratch_mask(self, csr: CSRGraph, model: FaultModel) -> bytearray:
         width = csr.num_nodes if model.uses_vertex_mask else csr.num_edges
         if self._scratch is None or len(self._scratch) != width:
@@ -897,7 +802,7 @@ class TieredOracle(BranchAndBoundOracle):
 
     def _packs_disjoint_paths(self, csr: CSRGraph, source: Node, target: Node,
                               s: int, t: int, budget: float, max_faults: int,
-                              model: FaultModel,
+                              model: FaultModel, pool: _PathPool,
                               root_path: Optional[List[int]] = None) -> bool:
         """Certify a reject by packing ``max_faults + 1`` disjoint short paths.
 
@@ -909,6 +814,7 @@ class TieredOracle(BranchAndBoundOracle):
         it short under every fault set that spares it.  ``root_path``, when
         the caller holds one, serves as the first packed path for free (the
         mask starts empty, so the first query would repeat the root's).
+        Every packed path joins ``pool``.
         """
         backend = self.kernels.resolve(csr)
         mask = self._scratch_mask(csr, model)
@@ -923,7 +829,7 @@ class TieredOracle(BranchAndBoundOracle):
                         backend, csr, s, t, budget, vertex_mask, edge_mask)
                     if exceeded:
                         return False
-                    self._pool.add(index_path)
+                pool.add(index_path)
                 path = [node_of[index] for index in index_path]
                 elements = self._path_elements(path, source, target, model)
                 if not elements:
@@ -964,9 +870,7 @@ class GreedyPathPackingOracle(FaultCheckOracle):
     def find_breaking_fault_set_csr(self, csr: CSRGraph, source: Node,
                                     target: Node, budget: float,
                                     max_faults: int,
-                                    fault_model: "str | FaultModel",
-                                    candidates: Optional[List] = None) -> Optional[FaultSet]:
-        # ``candidates`` is ignored: faults come from the short paths found.
+                                    fault_model: "str | FaultModel") -> Optional[FaultSet]:
         model = get_fault_model(fault_model)
         self.stats.count_query()
         s = csr.index_of.get(source)
@@ -1017,16 +921,21 @@ def available_oracles() -> List[str]:
     return sorted(_ORACLES)
 
 
-def oracle_name(name: "str | FaultCheckOracle | None") -> str:
-    """Resolve a name, alias, or instance to its canonical oracle name."""
+def _oracle_class(name: "str | None") -> type:
+    """The oracle class a name or alias denotes; ``None`` is the default."""
     if name is None:
-        return DEFAULT_ORACLE.name
-    if isinstance(name, FaultCheckOracle):
-        return name.name
+        return DEFAULT_ORACLE
     if isinstance(name, str) and name.lower() in _ORACLES:
-        return _ORACLES[name.lower()].name
+        return _ORACLES[name.lower()]
     raise ValueError(
         f"unknown oracle {name!r}; available: {available_oracles()}")
+
+
+def oracle_name(name: "str | FaultCheckOracle | None") -> str:
+    """Resolve a name, alias, or instance to its canonical oracle name."""
+    if isinstance(name, FaultCheckOracle):
+        return name.name
+    return _oracle_class(name).name
 
 
 def describe_oracles() -> List[dict]:
@@ -1048,11 +957,6 @@ def get_oracle(name: "str | FaultCheckOracle | None",
     is ignored for them).  For names, ``kernel`` picks the kernel backend
     the oracle's CSR distance queries run on.
     """
-    if name is None:
-        return DEFAULT_ORACLE(kernel)
     if isinstance(name, FaultCheckOracle):
         return name
-    if isinstance(name, str) and name.lower() in _ORACLES:
-        return _ORACLES[name.lower()](kernel)
-    raise ValueError(
-        f"unknown oracle {name!r}; available: {available_oracles()}")
+    return _oracle_class(name)(kernel)

@@ -328,11 +328,6 @@ class _FTCheckContext:
     max_faults: int
     #: The resolved kernel backend name of the in-process checker.
     kernel: str
-    #: Faultable elements in :meth:`FaultModel.all_elements` order — only
-    #: the exhaustive oracle enumerates them, but pinning the order here is
-    #: what keeps its tie-broken witnesses byte-identical to the serial
-    #: sweep's.
-    elements: Optional[Tuple] = None
 
 
 def _ft_check_chunk(ctx: _FTCheckContext,
@@ -342,14 +337,8 @@ def _ft_check_chunk(ctx: _FTCheckContext,
     checker = get_oracle(ctx.oracle, ctx.kernel)
     found: List[Optional[FaultSet]] = []
     for source, target, budget in chunk:
-        candidates = None
-        if ctx.elements is not None:
-            candidates = ([node for node in ctx.elements
-                           if node != source and node != target]
-                          if model.uses_vertex_mask else list(ctx.elements))
         found.append(checker.find_breaking_fault_set_csr(
-            ctx.csr, source, target, budget, ctx.max_faults, model,
-            candidates=candidates))
+            ctx.csr, source, target, budget, ctx.max_faults, model))
     # Ship the oracle's whole counter family — queries, distance queries,
     # nodes expanded, and the tiered screen/exact outcome tallies (labeled
     # keys like ``oracle.screen{outcome="reject"}`` round-trip through
@@ -426,7 +415,6 @@ def acceptance_sweep(spanner: Graph, candidates: Sequence[Candidate],
 
     registry = get_registry()
     tracer = get_tracer()
-    ship_elements = checker.name == "exhaustive"
     batch_size = max(_BATCH_MIN, _BATCH_EDGES_PER_WORKER * backend.workers)
     position = 0
     while position < len(candidates):
@@ -440,9 +428,7 @@ def acceptance_sweep(spanner: Graph, candidates: Sequence[Candidate],
         context = _FTCheckContext(
             csr=csr_snapshot(spanner), fault_model=model.name,
             oracle=checker.name, max_faults=max_faults,
-            kernel=checker.kernels.name,
-            elements=(tuple(model.all_elements(spanner))
-                      if ship_elements else None))
+            kernel=checker.kernels.name)
         tasks = [(u, v, stretch * w) for u, v, w in batch]
         if metrics is not None:
             metrics.batches.inc()

@@ -279,9 +279,9 @@ class TestParallelFtGreedy:
 
     @pytest.mark.parametrize("fault_model", ["vertex", "edge"])
     def test_serial_equals_parallel_exhaustive_oracle(self, fault_model):
-        # The exhaustive oracle enumerates a *global* candidate order, which
-        # the parallel driver must ship explicitly for ties to break the
-        # same way in workers as in process.
+        # The exhaustive oracle enumerates its candidates in the order of
+        # the spanner's snapshot, which serial and worker checks both read,
+        # so ties break the same way in workers as in process.
         graph = _graph(1, n=10, m=18)
         serial = ft_greedy_spanner(graph, 3.0, 1, fault_model=fault_model,
                                    oracle="exhaustive")

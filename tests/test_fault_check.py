@@ -58,8 +58,10 @@ class TestOracleResolution:
         assert get_oracle(oracle) is oracle
 
     def test_unknown_name(self):
-        with pytest.raises(ValueError):
-            get_oracle("magic")
+        for resolve in (get_oracle, oracle_name):
+            with pytest.raises(ValueError, match="unknown oracle 'magic'; "
+                                                 "available: "):
+                resolve("magic")
 
     def test_exactness_flags(self):
         assert ExhaustiveOracle.exact
@@ -400,11 +402,10 @@ def _counting_kernels(calls, decisions=None):
 
 
 class TestCanonicalPathCounter:
-    """``oracle.canonical_paths`` counts the exact oracles' forward
-    path-kernel queries.  Both exact searches branch on the decision
-    query's path, so the forward path kernel only answers the decision
-    queries too close to the budget to call: ``canonical_paths ==
-    band_fallbacks ==`` forward path-kernel calls."""
+    """The exact oracles ask the forward (canonical) path kernel only for
+    the decision queries too close to the budget to call.  Both exact
+    searches branch on the decision query's path, so ``band_fallbacks ==``
+    forward path-kernel calls."""
 
     @pytest.mark.parametrize("fault_model", ["vertex", "edge"])
     @pytest.mark.parametrize("oracle_class", [TieredOracle,
@@ -417,8 +418,7 @@ class TestCanonicalPathCounter:
         before = get_registry().counters()
         ft_greedy_spanner(graph, 3, 2, fault_model, oracle=oracle)
         delta = get_registry().counters_delta(before)
-        canonical = delta.get("oracle.canonical_paths", 0)
-        assert canonical == delta.get("oracle.band_fallbacks", 0) == len(calls)
+        assert delta.get("oracle.band_fallbacks", 0) == len(calls)
         # Every search node and screen asked the decision kernel; the
         # search expanded nodes, so it ran.
         assert delta.get("oracle.nodes_expanded", 0) > 0
@@ -437,8 +437,7 @@ class TestCanonicalPathCounter:
         oracle = oracle_class(kernel=_counting_kernels(calls))
         assert oracle.find_breaking_fault_set(graph, 0, 3, 0.9, 1,
                                               "vertex") == frozenset({"c"})
-        assert oracle.stats.canonical_paths == oracle.stats.band_fallbacks \
-            == len(calls) > 0
+        assert oracle.stats.band_fallbacks == len(calls) > 0
 
     def test_direct_query_counts_every_search_node(self):
         # Two disjoint 0-3 paths under budget 5: the root branches on 4
@@ -452,7 +451,7 @@ class TestCanonicalPathCounter:
         assert oracle.find_breaking_fault_set(graph, 0, 3, 5.0, 2,
                                               "vertex") == frozenset({1, 4})
         assert len(decisions) == oracle.stats.distance_queries == 3
-        assert oracle.stats.canonical_paths == len(calls) == 0
+        assert oracle.stats.band_fallbacks == len(calls) == 0
 
 
 class TestStats:
@@ -473,6 +472,80 @@ class TestStats:
             exhaustive.find_breaking_fault_set(graph, source, target, 3.0, 2, "vertex")
             bnb.find_breaking_fault_set(graph, source, target, 3.0, 2, "vertex")
         assert bnb.stats.distance_queries < exhaustive.stats.distance_queries
+
+
+def _build_work(graph, stretch, fault_model, oracle):
+    """The oracle and kernel-dispatch counters one loop-kernel f=2
+    ft-greedy build moves on the process registry."""
+    before = get_registry().counters()
+    ft_greedy_spanner(graph, stretch, 2, fault_model, oracle=oracle,
+                      kernel="loop")
+    delta = get_registry().counters_delta(before)
+    return {name: delta.get(name, 0) for name in (
+        "oracle.queries", 'oracle.screen{outcome="accept"}',
+        'oracle.screen{outcome="reject"}',
+        'oracle.screen{outcome="fallthrough"}', "oracle.exact",
+        "oracle.nodes_expanded", "oracle.distance_queries",
+        "oracle.pool_hits", "oracle.band_fallbacks",
+        'kernels.dispatch{backend="loop"}')}
+
+
+class TestSearchWork:
+    """The exact search's work, pinned by counter on seeded builds.
+
+    Counters do not depend on the machine, so a change to the screens or
+    the search that changes the work done fails here on every host, where
+    a timing gate would only drift.
+    """
+
+    @staticmethod
+    def _build_vft_graph():
+        # perfbench's build-vft instance 0 at seed 1: the sub-seed is
+        # (seed * 1_000_003 + salt * 7_919) mod (2**31 - 1) with salt 10.
+        seed = (1 * 1_000_003 + 10 * 7_919) % (2 ** 31 - 1)
+        return generators.gnm(320, 1600, rng=seed, weighted=True,
+                              connected=True)
+
+    @pytest.mark.parametrize("fault_model, expanded, distance, pool, dispatch", [
+        ("vertex", 1015, 4386, 902, 3591),
+        ("edge", 1023, 4395, 1195, 3599),
+    ])
+    def test_tiered_build_vft_instance(self, fault_model, expanded, distance,
+                                       pool, dispatch):
+        work = _build_work(self._build_vft_graph(), 5, fault_model, "tiered")
+        assert work == {
+            "oracle.queries": 1600,
+            'oracle.screen{outcome="accept"}': 385,
+            'oracle.screen{outcome="reject"}': 932,
+            'oracle.screen{outcome="fallthrough"}': 283,
+            "oracle.exact": 283,
+            "oracle.nodes_expanded": expanded,
+            "oracle.distance_queries": distance,
+            "oracle.pool_hits": pool,
+            "oracle.band_fallbacks": 0,
+            'kernels.dispatch{backend="loop"}': dispatch,
+        }
+
+    @pytest.mark.parametrize("fault_model, nodes", [
+        ("vertex", 1593),
+        ("edge", 2536),
+    ])
+    def test_branch_and_bound_small_graph(self, fault_model, nodes):
+        # Every search node is one decision query and one kernel dispatch.
+        graph = generators.gnm(60, 240, rng=3, weighted=True, connected=True)
+        work = _build_work(graph, 3, fault_model, "branch-and-bound")
+        assert work == {
+            "oracle.queries": 240,
+            'oracle.screen{outcome="accept"}': 0,
+            'oracle.screen{outcome="reject"}': 0,
+            'oracle.screen{outcome="fallthrough"}': 0,
+            "oracle.exact": 0,
+            "oracle.nodes_expanded": nodes,
+            "oracle.distance_queries": nodes,
+            "oracle.pool_hits": 0,
+            "oracle.band_fallbacks": 0,
+            'kernels.dispatch{backend="loop"}': nodes,
+        }
 
 
 def _brute_force_hitting_set(sets, size):
