@@ -19,14 +19,39 @@ invariant with bounded work:
 * **delete / weight-increase of a spanner edge** — conditions of rejected
   edges whose witness paths routed through the touched edge may break.
   :func:`repro.dynamic.repair.dirty_candidates` bounds that set soundly with
-  two SSSP runs; the dirty candidates are re-swept in greedy order
-  (increasing weight), re-admitting exactly the ones the oracle now breaks.
+  two SSSP runs, and certificates (below) shrink it further; the dirty
+  candidates left are re-swept in greedy order (increasing weight),
+  re-admitting exactly the ones the oracle now breaks.
 * **delete / weight-increase of a rejected edge, weight-decrease of a
   spanner edge** — provably free: the touched condition disappears or
   every surviving condition only slackens.
 * **weight-decrease of a rejected edge** — its own budget tightened; one
   acceptance test at the new weight decides re-admission.
 * **same-weight reweight** — a no-op for ``H``: nothing is touched.
+
+**Certificates.**  When the tiered oracle rejects a candidate by packing
+``f + 1`` element-disjoint short paths, the sweep records the set of ``H``
+edges on those paths as the reject's certificate
+(:class:`~repro.dynamic.repair.CertificateIndex`, indexed by ``H`` edge).
+A repair for spanner edge ``e`` re-checks a dirty candidate only if it has
+no certificate or its certificate uses ``e``.  This is sound: a
+certificate that avoids ``e`` still holds ``f + 1`` disjoint paths within
+budget in ``H - e`` (or in ``H`` with ``e`` heavier), every ``|F| <= f``
+spares one of them, so the oracle would reject the candidate again; and
+``H`` only grows during the sweep, so the skip changes no decision.  The
+rules that keep every held certificate true of the live ``H``:
+
+* an ``H`` edge is deleted or made heavier — drop every certificate whose
+  paths use it (a lighter ``H`` edge only shortens them);
+* a certificate's own edge is accepted, re-tested (inserted, or made
+  lighter) or deleted — drop it; a re-test that rejects by packing again
+  records a fresh one.  A heavier rejected edge keeps its certificate: its
+  budget only grew.
+
+Certificates fill lazily: a new or snapshot-loaded maintainer holds none,
+and rejects without packed paths (the exact search's, ``f = 0`` rejects,
+non-tiered oracles, speculative worker rejects) record none, so those
+candidates keep the distance filter alone.
 
 Every acceptance test — a single new or lighter edge, or a repair's dirty
 candidates — runs through the build's own loop,
@@ -58,6 +83,7 @@ from repro.build.registry import validate_spec
 from repro.build.spec import BuildError, BuildSpec
 from repro.dynamic.repair import (
     Candidate,
+    CertificateIndex,
     CertificationRecord,
     DirtyRegion,
     dirty_candidates,
@@ -71,7 +97,7 @@ from repro.dynamic.updates import (
     WeightChange,
 )
 from repro.faults.models import FaultSet, get_fault_model
-from repro.graph.core import Graph
+from repro.graph.core import EdgeTuple, Graph, edge_key
 from repro.graph.csr import csr_snapshot
 from repro.obs.metrics import SIZE_BUCKETS, component_registry
 from repro.obs.trace import get_tracer
@@ -171,6 +197,10 @@ class DynamicSpanner:
                              "the maintained graph")
         self.spanner: Graph = result.spanner
         self.witnesses: Dict[Tuple, FaultSet] = dict(result.witness_fault_sets)
+        #: Packing certificates of rejected edges (see the module docstring):
+        #: empty at first, filled by the repairs and acceptance tests that
+        #: reject through the tiered oracle's packing screen.
+        self.certificates = CertificateIndex()
         # Compile H's CSR up front (kept in sync across accepts, recompiled
         # after removals) so acceptance tests never pay a cold compile.
         csr_snapshot(self.spanner)
@@ -202,6 +232,9 @@ class DynamicSpanner:
         self._dirty_pool_seen = self.metrics.counter(
             "dynamic.dirty_pool_seen",
             "rejected-edge pool size across repairs (selectivity denominator)")
+        self._certificate_skips = self.metrics.counter(
+            "dynamic.certificate_skips",
+            "dirty candidates a certificate proved still rejected")
         self._maintenance_seconds = self.metrics.counter(
             "dynamic.maintenance_seconds", "wall time spent inside apply()")
         self._update_seconds = self.metrics.histogram(
@@ -249,6 +282,10 @@ class DynamicSpanner:
         return self._dirty_pool_seen.value
 
     @property
+    def certificate_skips(self) -> int:
+        return self._certificate_skips.value
+
+    @property
     def maintenance_seconds(self) -> float:
         return self._maintenance_seconds.value
 
@@ -282,12 +319,16 @@ class DynamicSpanner:
         """Algorithm 1's acceptance loop over ``candidates`` against live H."""
         sweep = acceptance_sweep(
             self.spanner, candidates, self.oracle, self.model, self.stretch,
-            self.max_faults, self._backend, witnesses=self.witnesses)
+            self.max_faults, self._backend, witnesses=self.witnesses,
+            certificates=self.certificates)
         merge_counters(self._worker_counters, sweep.worker_counters)
         return tuple(sweep.added)
 
     def _admit(self, u, v, weight: float):
         """One acceptance test; the outcome tuple :meth:`apply` expects."""
+        # A re-test replaces the edge's evidence: a lighter edge's old
+        # certificate held for a larger budget.
+        self.certificates.pop(edge_key(u, v), None)
         if self._sweep(((u, v, weight),)):
             self._incremental_accepts.inc()
             return True, None, (), True
@@ -354,13 +395,12 @@ class DynamicSpanner:
         if not in_spanner:
             # Deleting a rejected edge removes its own condition and touches
             # no other: H is unchanged and G-side budgets are per-edge.
+            self.certificates.pop(update.edge, None)
             return None, None, (), False
         self.spanner.remove_edge(update.u, update.v)
         self.witnesses.pop(update.edge, None)
-        region = DirtyRegion(
-            trigger=update.edge, reason="delete", candidates=candidates,
-            candidate_pool=pool, version_before=version_before,
-            version_after=self.graph.version)
+        region = self._region(update.edge, "delete", candidates, pool,
+                              version_before)
         added = self._repair(region)
         return None, region, added, True
 
@@ -390,10 +430,8 @@ class DynamicSpanner:
                 # Distances in H only shrink: every rejected-edge condition
                 # stays satisfied. Provably free.
                 return None, None, (), True
-            region = DirtyRegion(
-                trigger=update.edge, reason="reweight", candidates=candidates,
-                candidate_pool=pool, version_before=version_before,
-                version_after=self.graph.version)
+            region = self._region(update.edge, "reweight", candidates, pool,
+                                  version_before)
             added = self._repair(region)
             return None, region, added, True
         if new_weight < old_weight:
@@ -404,12 +442,28 @@ class DynamicSpanner:
         return None, None, (), False
 
     # ------------------------------------------------------------------ repair
+    def _region(self, trigger: EdgeTuple, reason: str,
+                candidates: Tuple[Candidate, ...], pool: int,
+                version_before: int) -> DirtyRegion:
+        """The region ``trigger`` opened: the filtered candidates that lack a
+        certificate once those through ``trigger`` are dropped."""
+        self.certificates.pop_users(trigger)
+        kept = tuple(candidate for candidate in candidates
+                     if edge_key(candidate[0], candidate[1])
+                     not in self.certificates)
+        return DirtyRegion(
+            trigger=trigger, reason=reason, candidates=kept,
+            candidate_pool=pool, version_before=version_before,
+            version_after=self.graph.version,
+            certificate_skips=len(candidates) - len(kept))
+
     def _repair(self, region: DirtyRegion) -> Tuple[Candidate, ...]:
         """Greedy acceptance sweep over one dirty region; returns re-admissions."""
         self._repairs.inc()
         self.repair_log.append(region)
         self._dirty_candidates_checked.inc(len(region.candidates))
         self._dirty_pool_seen.inc(region.candidate_pool)
+        self._certificate_skips.inc(region.certificate_skips)
         self._dirty_region_size.observe(len(region.candidates))
         if not region.candidates:
             self._repair_seconds.observe(0.0)
@@ -479,6 +533,7 @@ class DynamicSpanner:
             "dirty_pool_seen": self.dirty_pool_seen,
             "dirty_selectivity": (self.dirty_candidates_checked / self.dirty_pool_seen
                                   if self.dirty_pool_seen else 0.0),
+            "certificate_skips": self.certificate_skips,
             # Actual (speculative + recheck) work, workers included; unlike
             # the spanner and witnesses this is *not* identical to serial.
             "oracle_queries": (self.oracle.stats.queries

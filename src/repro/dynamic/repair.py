@@ -18,6 +18,19 @@ re-checks a small dirty region instead of every rejected edge:
     (or the cross orientation) — exactly the filter below.  Candidates
     failing both orientations provably still pass and are skipped.
 
+The distance filter forgets *why* a candidate was rejected.  A
+:class:`CertificateIndex` remembers it for the rejects the tiered oracle's
+packing screen proved: the set of ``H`` edges on ``f + 1`` element-disjoint
+``u``–``v`` paths, each of length ``<= k*w`` in ``H`` (the sound packing
+rule of Dinitz–Robelle).  If the touched edge ``e`` lies on none of them,
+all ``f + 1`` paths survive in ``H - e`` with the same lengths, every
+``|F| <= f`` misses one, and the candidate provably still passes — so the
+maintainer re-checks a filtered candidate only when it has no certificate
+or its certificate uses ``e``.  The index drops a certificate when an edge
+on its paths is deleted or made heavier (:meth:`CertificateIndex.pop_users`)
+and when its own edge is accepted, re-tested or deleted, so every held
+certificate stays true of the live ``H``.
+
 The region is recorded as a :class:`DirtyRegion` keyed on the
 :attr:`Graph.version` delta of the mutation, so a maintenance log reads as
 "version X -> Y: these candidates were re-checked, these re-entered H".
@@ -30,8 +43,9 @@ from scratch" are held to one standard, the static verifier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from collections.abc import MutableMapping
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.graph.core import EdgeTuple, Graph, Node, edge_key
 from repro.graph.csr import csr_snapshot
@@ -55,14 +69,19 @@ class DirtyRegion:
     trigger: EdgeTuple
     #: Why the region opened: ``"delete"`` or ``"reweight"``.
     reason: str
-    #: Rejected edges whose acceptance test must be re-run, in the greedy
-    #: sweep order (increasing weight, ties on the canonical key).
+    #: Rejected edges whose acceptance test must be re-run — those the
+    #: distance filter kept that hold no certificate avoiding the trigger —
+    #: in the greedy sweep order (increasing weight, ties on the canonical
+    #: key).
     candidates: Tuple[Candidate, ...]
     #: How many rejected edges existed in total (the filter's denominator).
     candidate_pool: int
     #: :attr:`Graph.version` of ``G`` before/after the triggering mutation.
     version_before: int = 0
     version_after: int = 0
+    #: Candidates the distance filter kept but a certificate avoiding the
+    #: trigger proved still rejected, so the repair skipped them.
+    certificate_skips: int = 0
 
     @property
     def selectivity(self) -> float:
@@ -120,6 +139,49 @@ def dirty_candidates(graph: Graph, spanner: Graph, edge: EdgeTuple,
         if through <= budget:
             dirty.append((u, v, w))
     return _sorted_candidates(dirty), pool
+
+
+class CertificateIndex(MutableMapping):
+    """Packing certificates of rejected edges, indexed by the ``H`` edges they use.
+
+    Maps a rejected edge's key to the frozenset of ``H`` edge keys on the
+    ``f + 1`` element-disjoint short paths that certified its reject (see
+    :attr:`~repro.spanners.fault_check.FaultCheckOracle.packed_paths`).  A
+    reverse index from each ``H`` edge to the certificates using it makes
+    :meth:`pop_users` — the drop on a delete or weight increase of that
+    edge — cost the number of certificates it touches.
+    """
+
+    def __init__(self) -> None:
+        self._edges: Dict[EdgeTuple, FrozenSet[EdgeTuple]] = {}
+        self._users: Dict[EdgeTuple, Set[EdgeTuple]] = {}
+
+    def __getitem__(self, key: EdgeTuple) -> FrozenSet[EdgeTuple]:
+        return self._edges[key]
+
+    def __setitem__(self, key: EdgeTuple, edges: FrozenSet[EdgeTuple]) -> None:
+        self.pop(key, None)
+        self._edges[key] = edges
+        for edge in edges:
+            self._users.setdefault(edge, set()).add(key)
+
+    def __delitem__(self, key: EdgeTuple) -> None:
+        for edge in self._edges.pop(key):
+            users = self._users[edge]
+            users.discard(key)
+            if not users:
+                del self._users[edge]
+
+    def __iter__(self) -> Iterator[EdgeTuple]:
+        return iter(self._edges)
+
+    def __len__(self) -> int:
+        return len(self._edges)
+
+    def pop_users(self, edge: EdgeTuple) -> None:
+        """Drop every certificate with a path through ``edge``."""
+        for key in tuple(self._users.get(edge, ())):
+            del self[key]
 
 
 def all_rejected_candidates(graph: Graph, spanner: Graph) -> Tuple[Candidate, ...]:

@@ -291,6 +291,12 @@ class FaultCheckOracle(ABC):
     #: Whether a ``None`` answer is guaranteed to mean "no fault set exists".
     exact: bool = True
 
+    #: The evidence behind the last answer when it was a reject certified by
+    #: disjoint short paths: ``(snapshot, index paths)``, the paths in the
+    #: snapshot's index space.  ``None`` after any other answer; only the
+    #: tiered oracle's packing screen ever sets it.
+    packed_paths: Optional[Tuple[CSRGraph, List[List[int]]]] = None
+
     def __init__(self, kernel: KernelLike = None) -> None:
         self.stats = OracleStats()
         #: Kernel backend answering the CSR distance queries (auto if None).
@@ -672,7 +678,10 @@ class TieredOracle(BranchAndBoundOracle):
        one path with no faultable element) certify that every fault set of
        size ``≤ f`` leaves some short path intact, i.e. the exact search
        must answer ``None``.  Costs at most ``f + 1`` queries, against the
-       exact search's ``O(L^f)``.
+       exact search's ``O(L^f)``.  The packed paths stay readable as
+       :attr:`packed_paths` until the next query: they remain a proof for
+       as long as their edges stay in ``H`` no heavier, which is what
+       :class:`~repro.dynamic.DynamicSpanner` keeps them for.
 
     A fallthrough runs the branch-and-bound search
     (:meth:`BranchAndBoundOracle._search`) with a per-query **path pool**
@@ -724,6 +733,7 @@ class TieredOracle(BranchAndBoundOracle):
                                     fault_model: "str | FaultModel") -> Optional[FaultSet]:
         model = get_fault_model(fault_model)
         self.stats.count_query()
+        self.packed_paths = None
         s = csr.index_of.get(source)
         t = csr.index_of.get(target)
         if s is None or t is None or not csr.degree(s) or not csr.degree(t):
@@ -814,34 +824,39 @@ class TieredOracle(BranchAndBoundOracle):
         it short under every fault set that spares it.  ``root_path``, when
         the caller holds one, serves as the first packed path for free (the
         mask starts empty, so the first query would repeat the root's).
-        Every packed path joins ``pool``.
+        Every packed path joins ``pool``; on ``True`` the packed paths
+        themselves (not copies) become :attr:`packed_paths`, the reject's
+        evidence.
         """
         backend = self.kernels.resolve(csr)
         mask = self._scratch_mask(csr, model)
         vertex_mask, edge_mask = model.kernel_masks(mask)
         node_of = csr.node_of
         set_indices: List[int] = []
+        packed: List[List[int]] = []
         index_path = root_path
         try:
-            for packed in range(max_faults + 1):
+            for count in range(max_faults + 1):
                 if index_path is None:
                     exceeded, index_path = self._exceeds(
                         backend, csr, s, t, budget, vertex_mask, edge_mask)
                     if exceeded:
                         return False
                 pool.add(index_path)
+                packed.append(index_path)
                 path = [node_of[index] for index in index_path]
                 elements = self._path_elements(path, source, target, model)
                 if not elements:
                     # A short path with nothing to fault survives every
                     # fault set outright.
-                    return True
-                if packed < max_faults:
+                    break
+                if count < max_faults:
                     indices = model.mask_indices(csr, elements)
                     for index in indices:
                         mask[index] = 1
                     set_indices.extend(indices)
                 index_path = None
+            self.packed_paths = (csr, packed)
             return True
         finally:
             for index in set_indices:

@@ -56,7 +56,8 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, FrozenSet, List, MutableMapping,
+                    Optional, Sequence, Tuple)
 
 from repro.faults.models import FaultModel, FaultSet, get_fault_model
 from repro.graph.core import Graph, Node, edge_key
@@ -367,11 +368,20 @@ def _require_shippable(checker: FaultCheckOracle) -> None:
         ) from None
 
 
+def _packed_edge_keys(packed: Tuple[CSRGraph, List[List[int]]]) -> FrozenSet:
+    """The ``H`` edge keys on a packing-certified reject's index paths."""
+    csr, paths = packed
+    node_of = csr.node_of
+    return frozenset(edge_key(node_of[a], node_of[b])
+                     for path in paths for a, b in zip(path, path[1:]))
+
+
 def acceptance_sweep(spanner: Graph, candidates: Sequence[Candidate],
                      checker: FaultCheckOracle, model: FaultModel,
                      stretch: float, max_faults: int,
                      backend: ExecutionBackend, *,
                      witnesses: Optional[Dict] = None,
+                     certificates: Optional[MutableMapping] = None,
                      metrics: Optional[SweepMetrics] = None,
                      on_step: Optional[Callable[[int], None]] = None) -> Sweep:
     """Algorithm 1's loop over ``candidates`` against the live ``spanner``.
@@ -383,6 +393,14 @@ def acceptance_sweep(spanner: Graph, candidates: Sequence[Candidate],
     edge of ``G`` from an empty ``H``; :class:`~repro.dynamic.DynamicSpanner`
     sweeps single new edges and dirty repair regions.
 
+    A reject the checker certified with disjoint short paths
+    (:attr:`~repro.spanners.fault_check.FaultCheckOracle.packed_paths`) is
+    recorded in ``certificates`` (when given) under ``edge_key(u, v)``, as
+    the frozenset of ``H`` edge keys on those paths.  Other rejects record
+    nothing: exact-search and ``f = 0`` rejects, every reject of a
+    non-tiered oracle, and every reject a worker decided in a speculative
+    batch (its paths stay in the worker).
+
     With ``backend.workers > 1`` and at least :data:`_BATCH_MIN` candidates
     the checks run in speculative batches (see the module docstring); the
     spanner and witnesses are byte-identical to the serial loop.  ``metrics``
@@ -392,10 +410,13 @@ def acceptance_sweep(spanner: Graph, candidates: Sequence[Candidate],
     """
     sweep = Sweep()
 
-    def decide(u, v, w, fault_set: Optional[FaultSet]) -> None:
+    def decide(u, v, w, fault_set: Optional[FaultSet],
+               packed: Optional[Tuple]) -> None:
         if fault_set is None:
             if metrics is not None:
                 metrics.rejects.inc()
+            if certificates is not None and packed is not None:
+                certificates[edge_key(u, v)] = _packed_edge_keys(packed)
             return
         if metrics is not None:
             metrics.accepts.inc()
@@ -409,8 +430,9 @@ def acceptance_sweep(spanner: Graph, candidates: Sequence[Candidate],
             if on_step is not None:
                 on_step(sweep.considered)
             sweep.considered += 1
-            decide(u, v, w, checker.find_breaking_fault_set(
-                spanner, u, v, stretch * w, max_faults, model))
+            fault_set = checker.find_breaking_fault_set(
+                spanner, u, v, stretch * w, max_faults, model)
+            decide(u, v, w, fault_set, checker.packed_paths)
         return sweep
 
     registry = get_registry()
@@ -450,6 +472,7 @@ def acceptance_sweep(spanner: Graph, candidates: Sequence[Candidate],
                 registry.merge_counters(counters)
             for (u, v, w), fault_set in zip(batch, speculative):
                 sweep.considered += 1
+                packed = None  # a worker's reject keeps its paths
                 # A reject is monotone-safe: no fault set broke (u, v)
                 # against the batch-start H, so none breaks it against the
                 # current, denser H either.  An accept is the serial answer
@@ -460,7 +483,8 @@ def acceptance_sweep(spanner: Graph, candidates: Sequence[Candidate],
                         metrics.rechecks.inc()
                     fault_set = checker.find_breaking_fault_set(
                         spanner, u, v, stretch * w, max_faults, model)
-                decide(u, v, w, fault_set)
+                    packed = checker.packed_paths
+                decide(u, v, w, fault_set, packed)
     return sweep
 
 

@@ -21,6 +21,7 @@ The contract under test, in increasing order of integration:
 """
 
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -43,12 +44,14 @@ from repro.dynamic import (
 )
 from repro.engine.workload import Query, update_churn
 from repro.graph import generators
-from repro.graph.core import Graph
+from repro.faults.models import get_fault_model
+from repro.graph.core import Graph, edge_key
 from repro.graph.csr import csr_snapshot
 from repro.graph.views import graph_minus
 from repro.obs.metrics import get_registry
 from repro.paths.dijkstra import dijkstra_distances
 from repro.runtime.backend import SerialBackend
+from repro.spanners.fault_check import BranchAndBoundOracle, get_oracle
 from repro.spanners.ft_greedy import acceptance_sweep
 from repro.spanners.verify import is_ft_spanner
 
@@ -204,6 +207,114 @@ class TestDirtyRegion:
             u, v, _ = rejected[0]
             with pytest.raises(ValueError):
                 dirty_candidates(dyn.graph, dyn.spanner, (u, v), 3.0)
+
+
+class _ResweepReference:
+    """Unfiltered reference maintainer: after every op, re-sweep *every*
+    rejected edge of ``G`` through the build's acceptance loop."""
+
+    def __init__(self, graph: Graph, spec: BuildSpec):
+        result = build(graph, spec)
+        self.graph = graph
+        self.spanner = result.spanner
+        self.witnesses = dict(result.witness_fault_sets)
+        self.spec = spec
+        self.oracle = get_oracle(spec.oracle, spec.kernel)
+        self.model = get_fault_model(spec.fault_model)
+
+    def apply(self, update) -> None:
+        u, v = update.u, update.v
+        in_spanner = self.spanner.has_edge(u, v)
+        update.apply(self.graph)
+        if isinstance(update, EdgeInsert):
+            self.spanner.add_node(u)
+            self.spanner.add_node(v)
+        elif in_spanner and isinstance(update, EdgeDelete):
+            self.spanner.remove_edge(u, v)
+            self.witnesses.pop(update.edge, None)
+        elif in_spanner:
+            self.spanner.add_edge(u, v, float(update.weight))
+        acceptance_sweep(
+            self.spanner, all_rejected_candidates(self.graph, self.spanner),
+            self.oracle, self.model, self.spec.stretch, self.spec.max_faults,
+            SerialBackend(), witnesses=self.witnesses)
+
+
+def _churn_with_heavier_spanner_edges(graph: Graph, dyn, length: int, rng: int):
+    """A seeded random journal, with every third op followed by a weight
+    increase of an edge that is in ``dyn``'s spanner when it applies (the
+    ops are yielded one at a time, so ``dyn`` must apply each before the
+    next is drawn)."""
+    for step, update in enumerate(random_journal(graph, length, rng=rng)):
+        yield update
+        if step % 3 == 2:
+            edges = list(dyn.spanner.edges())
+            u, v, weight = edges[(7 * step) % len(edges)]
+            yield WeightChange(u, v, weight * 1.7)
+
+
+class TestCertificateGatedRepair:
+    @pytest.mark.parametrize("kernel", ["loop", "numpy"])
+    @pytest.mark.parametrize("max_faults", [1, 2])
+    @pytest.mark.parametrize("fault_model", ["vertex", "edge"])
+    def test_gated_repair_equals_unfiltered_resweep(self, fault_model,
+                                                    max_faults, kernel):
+        """Certificate-gated repairs skip dirty candidates whose packed short
+        paths avoid the touched edge; after every op of a long journal the
+        spanner and witnesses equal a full re-sweep of every rejected edge,
+        and at the end every rejected edge passes the exact search."""
+        graph = generators.gnm(18, 64, rng=5, connected=True, weighted=True)
+        spec = _spec(fault_model=fault_model, max_faults=max_faults,
+                     kernel=kernel)
+        gated = DynamicSpanner(graph.copy(), spec)
+        reference = _ResweepReference(graph.copy(), spec)
+        applied = 0
+        for update in _churn_with_heavier_spanner_edges(graph, gated, 60, 29):
+            gated.apply(update)
+            reference.apply(update)
+            applied += 1
+            assert list(gated.spanner.edges()) == list(reference.spanner.edges()), (
+                f"op {applied} ({update!r}) diverged from the full re-sweep")
+            assert gated.witnesses == reference.witnesses
+        assert applied >= 60
+        stats = gated.stats()
+        assert stats["certificate_skips"] == gated.certificate_skips > 0
+        assert sum(region.certificate_skips
+                   for region in gated.repair_log) == gated.certificate_skips
+        assert stats["repair_edges_added"] > 0
+        # A proof independent of the tiered screens and of sampling: the
+        # exact search finds no breaking fault set for any rejected edge.
+        exact = BranchAndBoundOracle(kernel)
+        csr = csr_snapshot(gated.spanner)
+        model = get_fault_model(fault_model)
+        for u, v, w in all_rejected_candidates(gated.graph, gated.spanner):
+            assert exact.find_breaking_fault_set_csr(
+                csr, u, v, spec.stretch * w, max_faults, model) is None, (u, v)
+
+    def test_certificates_track_the_spanner_edges_they_use(self):
+        graph = generators.gnm(18, 64, rng=5, connected=True, weighted=True)
+        dyn = DynamicSpanner(graph, _spec())
+        assert not dyn.certificates  # a fresh maintainer holds none
+        dyn.apply_journal(random_journal(graph.copy(), 40, rng=29))
+        assert dyn.certificates
+        for key, edges in dyn.certificates.items():
+            # Certified edges are rejected, and their paths run through H.
+            assert dyn.graph.has_edge(*key) and not dyn.spanner.has_edge(*key)
+            assert edges and all(dyn.spanner.has_edge(*edge) for edge in edges)
+        # Deleting a spanner edge drops exactly the certificates through it.
+        uses = Counter(edge for used in dyn.certificates.values()
+                       for edge in used)
+        edge, _ = uses.most_common(1)[0]
+        others = {key: used for key, used in dyn.certificates.items()
+                  if edge not in used}
+        dyn.apply(EdgeDelete(*edge))
+        assert not any(edge in used for used in dyn.certificates.values())
+        assert all(dyn.certificates[key] == used
+                   for key, used in others.items())
+        # Deleting a rejected edge drops its own certificate.
+        key = next(iter(dyn.certificates))
+        dyn.apply(EdgeDelete(*key))
+        assert key not in dyn.certificates
 
 
 # --------------------------------------------------------------------------
@@ -393,10 +504,16 @@ class TestShardedMaintenance:
         for oracle in (None, "exhaustive"):
             graph = generators.gnm(20, 64, rng=10, connected=True,
                                    weighted=True)
-            journal = random_journal(graph, 30, rng=17)
+            journal = random_journal(graph, 60, rng=17)
             spec = _spec(fault_model=fault_model, oracle=oracle)
             serial = DynamicSpanner(graph.copy(), spec)
             serial.apply_journal(journal)
+            # Serial tiered repairs hold certificates and skip candidates by
+            # them; the exact-search oracle records none.
+            if oracle is None:
+                assert serial.certificates and serial.certificate_skips > 0
+            else:
+                assert not serial.certificates
             sweeps.clear()
             sharded = DynamicSpanner(
                 graph.copy(), spec.replace(workers=2, backend="process"))
