@@ -13,8 +13,11 @@ under vertex fault masks — the exact shape of the fault-check oracle's inner
 loop.  The ``decision_queries`` case times the tiered oracle's yes/no
 distance question on an FT spanner, forward kernel against the
 bidirectional one (verdicts asserted identical, band fallbacks counted).
-Running this file as a script records the comparisons (and the measured
-speedups) in ``BENCH_kernels.json`` at the repository root::
+The ``serving_crossover`` table times loop against numpy per serving call
+kind, graph size and group count; the ``auto`` backend's serving
+thresholds (``repro.paths.registry.SERVING_NODE_THRESHOLDS``) are read off
+it.  Running this file as a script records the comparisons (and the
+measured speedups) in ``BENCH_kernels.json`` at the repository root::
 
     PYTHONPATH=src python benchmarks/bench_kernels.py
 """
@@ -341,6 +344,136 @@ def record_decision_queries() -> dict:
 
 
 # ---------------------------------------------------------------------------
+# The serving crossover: loop vs numpy per call kind, size and group count
+# ---------------------------------------------------------------------------
+
+#: Grid of the crossover table: graph sizes and groups per call.
+CROSSOVER_NODES = (100, 200, 500, 1000, 2000)
+CROSSOVER_GROUPS = (1, 2, 4, 8)
+#: Distinct group plans timed per cell (each time is the mean per plan).
+_CROSSOVER_PLANS = 12
+
+
+def _crossover_case(n: int, seed: int = 11):
+    """The served shape: H = ft-greedy k=3 f=1 of a weighted G(n, 3n), and
+    per group count a few plans of groups, each one G edge ``(s, v)`` with
+    weight ``w``, a uniform target ``t`` and at most one fault vertex.
+    Serving runs ``(s, faults)`` to ``t`` (uniform targets, as in
+    :func:`repro.engine.workload.zipf_workload`); the decision query asks
+    ``d(s, v) > 3·w``, the oracles' question."""
+    import random
+
+    graph = generators.gnm(n, 3 * n, rng=seed + n, connected=True,
+                           weighted=True)
+    spanner = ft_greedy_spanner(graph, 3, 1, "vertex").spanner
+    csr = csr_snapshot(spanner)
+    rng = random.Random(seed * 7919 + n)
+    edges = list(graph.edges())
+    plans = {}
+    for groups in CROSSOVER_GROUPS:
+        plans[groups] = []
+        for _ in range(_CROSSOVER_PLANS):
+            plan = []
+            for _ in range(groups):
+                u, v, w = edges[rng.randrange(len(edges))]
+                s, v = csr.index_of[u], csr.index_of[v]
+                t = rng.choice([i for i in range(n) if i != s])
+                fault = rng.choice([i for i in range(n) if i not in (s, v)])
+                faults = (csr.node_of[fault],) if rng.random() < 0.5 else ()
+                plan.append((s, t, v, 3.0 * w, faults))
+            plans[groups].append(plan)
+    return csr, plans
+
+
+def _crossover_calls(csr, masks, backend, plans) -> dict:
+    """The three call kinds over ``plans`` on ``backend``, as callables
+    returning their answers: ``run_groups`` full and early-exit runs, and
+    one forward decision query per group."""
+    from repro.engine.batch import run_groups
+
+    def full():
+        return [run_groups(masks, backend,
+                           [(s, f) for s, _, _, _, f in plan])[0]
+                for plan in plans]
+
+    def early_exit():
+        return [run_groups(masks, backend,
+                           [(s, f) for s, _, _, _, f in plan],
+                           [[t] for _, t, _, _, _ in plan])[0]
+                for plan in plans]
+
+    def decision():
+        return [backend.bounded_dijkstra_csr(csr, s, v, budget,
+                                             csr.vertex_fault_mask(f))
+                for plan in plans for s, _, v, budget, f in plan]
+
+    return {"full": full, "early_exit": early_exit, "decision": decision}
+
+
+def record_serving_crossover() -> dict:
+    """Time loop vs numpy on each serving call kind; returns the table.
+
+    ``full`` and ``early_exit`` are :func:`repro.engine.batch.run_groups`
+    calls on an explicit backend — a fused sweep for two or more groups
+    on numpy, one kernel per group otherwise — exactly as the engine
+    serves them; ``decision`` is one ``bounded_dijkstra_csr`` query per
+    group (the oracles' forward question, which has no fused form).  Both
+    backends' answers are asserted identical before timing.  Rows carry
+    milliseconds per call; ``crossover_nodes`` is, per call kind and group
+    count, the smallest grid size from which numpy is faster at every
+    larger size (``None`` when it never is).
+    """
+    from repro.engine.batch import GroupMasks
+    from repro.faults.models import get_fault_model
+    from repro.paths.registry import (
+        SERVING_NODE_THRESHOLDS, get_kernels, kernel_backend_names)
+
+    report = {
+        "benchmark": "serving call kinds, loop vs numpy kernels "
+                     "(ms per call; groups per call = fused width)",
+        "graph": "G(n,3n) weighted, H = ft-greedy k=3 f=1 vertex",
+        "serving_thresholds": dict(SERVING_NODE_THRESHOLDS),
+    }
+    if "numpy" not in kernel_backend_names():
+        report["numpy_available"] = False
+        return report
+    model = get_fault_model("vertex")
+    backends = {name: get_kernels(name) for name in ("loop", "numpy")}
+    rows = []
+    for n in CROSSOVER_NODES:
+        csr, plans = _crossover_case(n)
+        masks = GroupMasks(csr, model)
+        for groups in CROSSOVER_GROUPS:
+            runs = {name: _crossover_calls(csr, masks, backend, plans[groups])
+                    for name, backend in backends.items()}
+            for call in ("full", "early_exit", "decision"):
+                assert runs["loop"][call]() == runs["numpy"][call](), (
+                    f"{call} answers diverged at n={n}, groups={groups}")
+                loop_s = best_of(runs["loop"][call], repeats=3)
+                numpy_s = best_of(runs["numpy"][call], repeats=3)
+                rows.append({
+                    "call": call, "n": n, "groups": groups,
+                    "loop_ms": round(loop_s * 1e3 / len(plans[groups]), 3),
+                    "numpy_ms": round(numpy_s * 1e3 / len(plans[groups]), 3),
+                })
+    crossover = {}
+    for call in ("full", "early_exit", "decision"):
+        crossover[call] = {}
+        for groups in CROSSOVER_GROUPS:
+            cells = [row for row in rows
+                     if row["call"] == call and row["groups"] == groups]
+            cut = None
+            for row in reversed(cells):  # grid sizes, largest first
+                if row["numpy_ms"] >= row["loop_ms"]:
+                    break
+                cut = row["n"]
+            crossover[call][str(groups)] = cut
+    report.update({"numpy_available": True, "answers_identical": True,
+                   "crossover_nodes": crossover, "rows": rows})
+    return report
+
+
+# ---------------------------------------------------------------------------
 # Script mode: record the CSR-vs-dict comparison in BENCH_kernels.json
 # ---------------------------------------------------------------------------
 
@@ -367,6 +500,7 @@ def record_csr_vs_dict(path: "pathlib.Path | str" = None) -> dict:
         })
     report["kernel_backends"] = record_loop_vs_numpy()
     report["decision_queries"] = record_decision_queries()
+    report["serving_crossover"] = record_serving_crossover()
     pathlib.Path(path).write_text(json.dumps(report, indent=2) + "\n")
     return report
 
@@ -389,3 +523,9 @@ if __name__ == "__main__":
           f"forward {decisions['forward_ms']}ms bidirectional "
           f"{decisions['bidirectional_ms']}ms -> {decisions['speedup']}x, "
           f"verdicts identical, {decisions['band_fallbacks']} band fallbacks")
+    crossover = outcome["serving_crossover"]
+    if crossover.get("numpy_available"):
+        for call, cuts in crossover["crossover_nodes"].items():
+            print(f"serving crossover, {call}: numpy wins from n = "
+                  + ", ".join(f"{cut} ({groups} groups)"
+                              for groups, cut in cuts.items()))

@@ -797,7 +797,8 @@ def build_parser() -> argparse.ArgumentParser:
         command.add_argument("--kernel", default=None,
                              help="distance-kernel backend: 'loop', 'numpy', "
                                   "or 'auto' (default: auto — numpy on "
-                                  "graphs of >= 100k nodes when available; "
+                                  "graphs of >= 100k nodes when available, "
+                                  "and for served reads from 500 nodes; "
                                   "answers are byte-identical either way)")
         if seed:
             command.add_argument("--seed", type=int, default=None,

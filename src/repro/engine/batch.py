@@ -11,8 +11,10 @@ exploits that:
    answers can be scattered back in request order;
 2. :func:`run_groups` answers a list of groups, all with the full
    distance vector (the cacheable form) or all with an early-exit run to
-   their targets, as the caller states.  When the resolved kernel backend has the multi-source kernel
-   of that form and there are at least two groups, one fused sweep answers
+   their targets, as the caller states.  The kernel backend resolves per
+   serving call kind (:meth:`~repro.paths.registry.KernelBackend.resolve_serving`).
+   When it has the multi-source kernel of that form and there are at least
+   two groups, fused sweeps of at most :data:`FUSED_CELL_CAP` cells answer
    them all; otherwise each group costs **one** masked kernel run;
 3. masks are reused across groups (:class:`GroupMasks`): a
    :class:`MaskBuffer` for per-group runs writes ``|F|`` bytes and resetting
@@ -35,6 +37,16 @@ from repro.faults.models import FaultModel, FaultSet
 from repro.graph.core import Node
 from repro.graph.csr import CSRGraph
 from repro.paths.registry import KernelBackend
+
+#: Most ``groups x nodes`` cells one fused sweep holds.  The multi-source
+#: sweep keeps about 150-250 bytes per cell while it runs, so a plan larger
+#: than this is answered by several sweeps of ``FUSED_CELL_CAP // n``
+#: groups each (at least one), which bounds a sweep near 1 MB whatever the
+#: batch size on graphs of up to ``FUSED_CELL_CAP`` nodes.  Per group, a
+#: 4-group sweep costs what an 8-group one does (``serving_crossover`` in
+#: ``BENCH_kernels.json``), so 4 groups per sweep at n=1000 cost no
+#: throughput.
+FUSED_CELL_CAP = 4096
 
 
 @dataclass
@@ -219,33 +231,44 @@ def run_groups(masks: GroupMasks, kernels: KernelBackend,
                groups: Sequence[Tuple[int, FaultSet]],
                targets: Optional[Sequence[List[int]]] = None, *,
                observe: Optional[Callable[[float], None]] = None
-               ) -> Tuple[List[List[float]], bool]:
+               ) -> Tuple[List[List[float]], int]:
     """Answer ``(source_index, faults)`` groups on ``masks.csr``.
 
     Without ``targets`` every group gets its full masked distance vector
     (the cacheable form); with ``targets`` (one list of target indices per
     group) every group gets its distances in target order from a run that
-    early-exits once they settle.  With at least two groups and a resolved
-    backend that has the multi-source kernel of that form, one fused sweep
-    answers them all; otherwise each group runs its own kernel.  Both give
-    the same distances.  ``observe`` receives the seconds of each kernel
-    invocation.  Returns the rows in group order and whether they fused.
+    early-exits once they settle.  ``kernels`` resolves for that call kind
+    on ``masks.csr``.  With at least two groups and a resolved backend that
+    has the multi-source kernel of that form, fused sweeps of at most
+    :data:`FUSED_CELL_CAP` cells answer them all; otherwise each group runs
+    its own kernel.  Both give the same distances.  ``observe`` receives the
+    seconds of each kernel invocation.  Returns the rows in group order and
+    the number of fused sweeps that ran.
     """
     csr = masks.csr
-    backend = kernels.resolve(csr)
+    backend = kernels.resolve_serving(
+        csr, "full" if targets is None else "early_exit")
     fused = (backend.multi_source_sssp if targets is None
              else backend.multi_source_multi_target)
     if fused is not None and len(groups) > 1:
-        started = time.perf_counter()
-        sources = [source for source, _ in groups]
-        vertex_masks, edge_masks = masks.matrix.apply([faults for _, faults in groups])
-        if targets is None:
-            rows = fused(csr, sources, vertex_masks, edge_masks)
-        else:
-            rows = fused(csr, sources, targets, vertex_masks, edge_masks)
-        if observe is not None:
-            observe(time.perf_counter() - started)
-        return rows, True
+        rows: List[List[float]] = []
+        step = max(1, FUSED_CELL_CAP // csr.num_nodes)
+        sweeps = 0
+        for first in range(0, len(groups), step):
+            started = time.perf_counter()
+            chunk = groups[first:first + step]
+            sources = [source for source, _ in chunk]
+            vertex_masks, edge_masks = masks.matrix.apply(
+                [faults for _, faults in chunk])
+            if targets is None:
+                rows.extend(fused(csr, sources, vertex_masks, edge_masks))
+            else:
+                rows.extend(fused(csr, sources, targets[first:first + step],
+                                  vertex_masks, edge_masks))
+            sweeps += 1
+            if observe is not None:
+                observe(time.perf_counter() - started)
+        return rows, sweeps
     rows = []
     for index, (source, faults) in enumerate(groups):
         started = time.perf_counter()
@@ -261,4 +284,4 @@ def run_groups(masks: GroupMasks, kernels: KernelBackend,
             masks.buffer.reset()
         if observe is not None:
             observe(time.perf_counter() - started)
-    return rows, False
+    return rows, 0

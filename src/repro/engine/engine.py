@@ -19,9 +19,11 @@ reused (:data:`ADMIT_THRESHOLD`) queues one full masked SSSP into an empty
 vector already in the cache.  Every other group — and every group when the
 cache is disabled (``cache_size=0``) — queues the early-exiting
 multi-target kernel, which is cheaper for one-shot traffic.  Both queues
-then go through :func:`repro.engine.batch.run_groups`, which fuses a queue
-into one multi-source sweep when the kernel backend has one and runs a
-kernel per group otherwise.  An audit's ground-truth read is one
+then go through :func:`repro.engine.batch.run_groups`, which resolves the
+kernel backend per serving call kind (under ``auto``, numpy from the
+serving crossover in :data:`repro.paths.registry.SERVING_NODE_THRESHOLDS`),
+fuses a queue into cell-capped multi-source sweeps when that backend has
+them and runs a kernel per group otherwise.  An audit's ground-truth read is one
 early-exit group through the same runner, over the original graph.
 
 Answers are identical on every path, and identical to the per-query
@@ -121,10 +123,11 @@ class QueryEngine:
         disables caching (pure streaming mode).
     kernel:
         Kernel backend (:func:`repro.paths.get_kernels` spec) answering the
-        distance queries; ``None`` auto-selects by graph size.  When the
-        resolved backend ships multi-source kernels, whole plans are served
-        by fused sweeps (one kernel invocation for many groups) — answers,
-        counters and cache behaviour stay bit-identical to per-group runs.
+        distance queries; ``None`` auto-selects by graph size and serving
+        call kind.  When the resolved backend ships multi-source kernels,
+        whole plans are served by fused sweeps (one kernel invocation for
+        many groups) — answers, counters and cache behaviour stay
+        bit-identical to per-group runs.
     """
 
     def __init__(self, snapshot: SpannerSnapshot, *, cache_size: int = 256,
@@ -142,9 +145,10 @@ class QueryEngine:
             "engine.groups_executed", "(source, fault set) groups served")
         self._kernel_calls = self.metrics.counter(
             "engine.kernel_calls", "logical serving kernel runs")
-        # Multi-source kernel invocations; each replaces >= 2 logical kernel
-        # runs (``kernel_calls`` keeps counting those, so batching metrics
-        # stay comparable across kernel backends).
+        # Multi-source kernel invocations; each answers one cell-capped
+        # chunk of a queue of >= 2 groups (``kernel_calls`` keeps counting
+        # the logical runs, so batching metrics stay comparable across
+        # kernel backends).
         self._fused_sweeps = self.metrics.counter(
             "engine.fused_sweeps", "multi-source kernel invocations")
         self._audits = self.metrics.counter(
@@ -273,14 +277,14 @@ class QueryEngine:
             masks = self._masks_for(csr)
             observe = self._group_kernel_seconds.observe
             if full:
-                rows, fused = run_groups(masks, self.kernel, full, observe=observe)
-                self._fused_sweeps.inc(fused)
+                rows, sweeps = run_groups(masks, self.kernel, full, observe=observe)
+                self._fused_sweeps.inc(sweeps)
                 for vector, row in zip(full_vectors, rows):
                     vector[:] = row
             if early:
-                rows, fused = run_groups(masks, self.kernel, early, early_targets,
-                                         observe=observe)
-                self._fused_sweeps.inc(fused)
+                rows, sweeps = run_groups(masks, self.kernel, early, early_targets,
+                                          observe=observe)
+                self._fused_sweeps.inc(sweeps)
                 for (positions, target_indices), row in zip(early_reads, rows):
                     answered = iter(row)
                     for position, t in zip(positions, target_indices):

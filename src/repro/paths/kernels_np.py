@@ -272,7 +272,8 @@ def multi_target_dijkstra_csr(csr: CSRGraph, source: int, targets: List[int],
         pending.append(position)
     if not pending:
         return result
-    live = np.unique(np.array([targets[p] for p in pending], dtype=np.int64))
+    # sorted(set()) over np.unique: unique's first call imports numpy.ma.
+    live = np.array(sorted({targets[p] for p in pending}), dtype=np.int64)
     nd = csr.as_ndarrays()
     dist = _relax(nd, csr.num_nodes, source, None, _mask_nd(vertex_mask),
                   _mask_nd(edge_mask), targets=live)
@@ -503,8 +504,8 @@ def multi_source_multi_target_csr(csr: CSRGraph, sources: Sequence[int],
                 continue
             row_pending.append(position)
         if row_pending:
-            live[g] = np.unique(np.array(
-                [target_lists[g][p] for p in row_pending], dtype=np.int64))
+            live[g] = np.array(sorted({target_lists[g][p] for p in row_pending}),
+                               dtype=np.int64)
     if not any(len(row) for row in pending):
         return results
     dist = _multi_source_sweep(csr, sources, vertex_masks, edge_masks,

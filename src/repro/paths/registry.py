@@ -26,18 +26,29 @@ branch on its path, returning the same witnesses on every backend.
 also returns its shortest-path tree), with no numpy twin.  The optional
 fields are ``None`` on ``auto``; consumers call them on the backend
 :meth:`KernelBackend.resolve` returns and fall back without them (to
-per-query calls, and to searching every verification source).
+per-query calls, and to searching every verification source).  numpy's
+multi-source kernels have one consumer, the serving runner
+:func:`repro.engine.batch.run_groups`.
 
-The default is ``auto``: a dispatching backend that picks ``numpy`` for CSR
-snapshots with at least :data:`AUTO_NODE_THRESHOLD` nodes (where the array
-sweep wins decisively) and ``loop`` below it (where Python loop overhead is
-lower than numpy's per-call setup).  ``REPRO_KERNEL`` in the environment
-overrides the default; an explicit ``kernel=`` argument beats both.
+The default is ``auto``, a dispatching backend with two resolutions:
 
-Every :meth:`KernelBackend.resolve` call counts one selection on the
-process metrics registry (``kernels.dispatch{backend="loop"|"numpy"}``), so
-``repro-spanner stats`` shows which implementation actually served a run —
-in particular how often the ``auto`` gate went each way.
+* :meth:`KernelBackend.resolve` (oracles, verification, builds, repairs)
+  picks ``numpy`` for CSR snapshots with at least
+  :data:`AUTO_NODE_THRESHOLD` nodes (where the array sweep wins
+  decisively) and ``loop`` below it (where Python loop overhead is lower
+  than numpy's per-call setup);
+* :meth:`KernelBackend.resolve_serving` (``run_groups`` only) picks per
+  serving call kind — full distance vectors or early-exit runs, fused or
+  single-group — from :data:`SERVING_NODE_THRESHOLDS`, the measured
+  serving crossover.
+
+``REPRO_KERNEL`` in the environment overrides the default; an explicit
+``kernel=`` argument beats both.
+
+Every resolution counts one selection on the process metrics registry
+(``kernels.dispatch{backend="loop"|"numpy"}``), so ``repro-spanner stats``
+shows which implementation actually served a run — in particular how often
+the ``auto`` gates went each way.
 """
 
 from __future__ import annotations
@@ -53,6 +64,22 @@ from repro.paths import kernels as _loop
 #: Node count at which the ``auto`` backend switches from loop to numpy
 #: kernels.  Below it the numpy per-call setup overhead dominates.
 AUTO_NODE_THRESHOLD = 100_000
+
+#: The serving crossover: per call kind of
+#: :func:`repro.engine.batch.run_groups`, the node count from which ``auto``
+#: serves it with numpy (fused or single-group).  ``"full"`` is full masked
+#: distance vectors (the cacheable form), ``"early_exit"`` runs that stop
+#: once their targets settle.  Read off the ``serving_crossover`` table of
+#: ``BENCH_kernels.json`` (``benchmarks/bench_kernels.py`` writes it: ms per
+#: call on G(n, 3n) k=3 f=1 spanners, numpy against loop, for groups of
+#: 1/2/4/8).  Fused plans of >= 2 groups win from 100-500 nodes (full) and
+#: 200-500 (early exit), sooner the more groups they hold; single groups
+#: lose at 200 on both kinds, win from 500 (full) and are even at 500,
+#: winning from 1,000 (early exit).  One cut of
+#: 500 serves both kinds, and keeps 200-node daemons on loop.  Decision
+#: queries, which numpy loses up to about 1,000 nodes, are not served here
+#: and keep :data:`AUTO_NODE_THRESHOLD`.
+SERVING_NODE_THRESHOLDS: Dict[str, int] = {"full": 500, "early_exit": 500}
 
 #: Environment variable consulted when no explicit kernel is requested.
 KERNEL_ENV_VAR = "REPRO_KERNEL"
@@ -104,18 +131,33 @@ class KernelBackend:
         _count_dispatch(self.name)
         return self
 
+    def resolve_serving(self, csr: CSRGraph, call: str) -> "KernelBackend":
+        """The concrete backend answering one serving ``call`` on ``csr``.
+
+        ``call`` is a :data:`SERVING_NODE_THRESHOLDS` key; only
+        :func:`repro.engine.batch.run_groups` asks.  :meth:`resolve` for
+        real backends.
+        """
+        return self.resolve(csr)
+
 
 class _AutoKernelBackend(KernelBackend):
     """Size-gated dispatcher: numpy at scale, loop below the threshold."""
 
-    def resolve(self, csr: CSRGraph) -> KernelBackend:
-        if ("numpy" in _REGISTRY
-                and csr.num_nodes >= AUTO_NODE_THRESHOLD):
+    @staticmethod
+    def _pick(num_nodes: int, threshold: int) -> KernelBackend:
+        if "numpy" in _REGISTRY and num_nodes >= threshold:
             chosen = _REGISTRY["numpy"]
         else:
             chosen = _REGISTRY["loop"]
         _count_dispatch(chosen.name)
         return chosen
+
+    def resolve(self, csr: CSRGraph) -> KernelBackend:
+        return self._pick(csr.num_nodes, AUTO_NODE_THRESHOLD)
+
+    def resolve_serving(self, csr: CSRGraph, call: str) -> KernelBackend:
+        return self._pick(csr.num_nodes, SERVING_NODE_THRESHOLDS[call])
 
 
 KernelLike = Union[None, str, KernelBackend]
@@ -222,7 +264,8 @@ def _auto_dispatch(kernel_name: str) -> Callable:
 _REGISTRY["auto"] = _AutoKernelBackend(
     name="auto",
     description=(
-        f"numpy kernels at >= {AUTO_NODE_THRESHOLD} nodes when available, "
+        f"numpy kernels at >= {AUTO_NODE_THRESHOLD} nodes when available "
+        f"(serving: >= {min(SERVING_NODE_THRESHOLDS.values())}), "
         "loop kernels otherwise"
     ),
     bounded_dijkstra_csr=_auto_dispatch("bounded_dijkstra_csr"),

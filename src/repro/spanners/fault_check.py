@@ -56,8 +56,7 @@ kernels.  The exhaustive and heuristic oracles ask only the forward kernels
 the bidirectional kernel ``bidirectional_bounded_path``, with a band around
 the budget re-asked of the forward path kernel, and it branches on the
 short path it returns.  The tiered oracle's screens ask the same decision
-query, or a cached ``sssp_dijkstra_csr`` vector for warm root tests; where
-the backend has a fused multi-source sweep, a node's leaves run as one.  The
+query, or a cached ``sssp_dijkstra_csr`` vector for warm root tests.  The
 ``Graph`` entry point
 :meth:`FaultCheckOracle.find_breaking_fault_set` only resolves that
 snapshot; anything that is not a ``Graph`` (an
@@ -500,15 +499,6 @@ class BranchAndBoundOracle(FaultCheckOracle):
         node_of = csr.node_of
         elements = self._path_elements([node_of[index] for index in index_path],
                                        source, target, model)
-        if (remaining == 1 and len(elements) > 1
-                and backend.multi_source_multi_target is not None):
-            # Every child of this node is a leaf (remaining == 0): its whole
-            # decision is one bounded distance comparison, so the sibling
-            # queries batch into a single fused sweep instead of one bounded
-            # Dijkstra per branch.  The leaves are the bulk of the O(L^f)
-            # tree, which is where the per-branch query cost lived.
-            return self._fused_leaf_search(csr, s, t, budget, model, elements,
-                                           current, mask, backend, pool)
         for element in elements:
             index = model.mask_indices(csr, (element,))[0]
             current.append(element)
@@ -519,52 +509,6 @@ class BranchAndBoundOracle(FaultCheckOracle):
             current.pop()
             if result is not None:
                 return result
-        return None
-
-    def _fused_leaf_search(self, csr: CSRGraph, s: int, t: int, budget: float,
-                           model: FaultModel, elements: List, current: List,
-                           mask: bytearray, backend,
-                           pool: Optional[_PathPool]) -> Optional[List]:
-        """All ``remaining == 0`` children of one node, in one fused sweep.
-
-        Scanning the answers in branch order and stopping at the first
-        distance beyond the budget reproduces the serial child loop's
-        first-hit semantics exactly, so the returned fault list (and the
-        ``None`` miss) is byte-identical to the per-branch recursion.  A
-        leaf ``pool`` decides reads "within" there, so it leaves the sweep.
-        """
-        import numpy as np
-
-        if pool is not None:
-            faulted = set(model.mask_indices(csr, current))
-            undecided = []
-            for element in elements:
-                index = model.mask_indices(csr, (element,))[0]
-                if pool.decides(faulted | {index}, 0):
-                    self.stats.count_pool_hit()
-                else:
-                    undecided.append(element)
-            if not undecided:
-                return None
-            elements = undecided
-        rows = np.tile(np.frombuffer(bytes(mask), dtype=np.uint8),
-                       (len(elements), 1))
-        for row, element in enumerate(elements):
-            rows[row, model.mask_indices(csr, (element,))[0]] = 1
-        if model.uses_vertex_mask:
-            vertex_masks, edge_masks = rows, None
-        else:
-            vertex_masks, edge_masks = None, rows
-        answers = backend.multi_source_multi_target(
-            csr, [s] * len(elements), [[t]] * len(elements),
-            vertex_masks, edge_masks)
-        for row, element in enumerate(elements):
-            # Count exactly what the serial loop would have: one expansion
-            # and one distance query per child actually visited.
-            self.stats.count_nodes_expanded()
-            self.stats.count_distance_query()
-            if answers[row][0] > budget:
-                return current + [element]
         return None
 
     @staticmethod

@@ -193,6 +193,198 @@ def test_failed_decision_loop_leaves_no_empty_vector_cached():
 
 
 # --------------------------------------------------------------------------
+# The serving crossover: auto == loop == numpy above the cut
+# --------------------------------------------------------------------------
+
+needs_numpy = pytest.mark.skipif("numpy" not in kernel_backend_names(),
+                                 reason="numpy backend not installed")
+
+#: Above every serving threshold, so ``auto`` serves through numpy.
+CROSSOVER_NODES = 600
+
+
+def _counter_delta(run):
+    from repro.obs.metrics import get_registry
+
+    before = get_registry().counters()
+    run()
+    return get_registry().counters_delta(before)
+
+
+@pytest.fixture(scope="module", params=["vertex", "edge"])
+def crossover_case(request):
+    """A 600-node k=3 f=1 spanner snapshot (plus an unreachable island
+    node) and a query stream: Zipf traffic, fault-churn sessions and the
+    edge cases — masked source, masked, duplicate, unknown and unreachable
+    targets, ``target == source``."""
+    fault_model = request.param
+    graph = generators.gnm(CROSSOVER_NODES, 3 * CROSSOVER_NODES, rng=21,
+                           connected=True, weighted=True)
+    spanner = ft_greedy_spanner(graph, 3, 1, fault_model).spanner
+    spanner.add_node("island")
+    snapshot = SpannerSnapshot(spanner=spanner, stretch=3.0, max_faults=1,
+                               fault_model=fault_model)
+    queries = zipf_workload(spanner, 400, max_faults=1, fault_pool=6,
+                            fault_model=fault_model, rng=5)
+    queries += fault_churn_sessions(spanner, 4, 40, max_faults=1,
+                                    fault_model=fault_model, rng=6)
+    u, v = next(iter(spanner.edge_keys()))
+    fault = u if fault_model == "vertex" else (u, v)
+    edge_cases = [Query(u, v, (fault,)), Query(v, u, (fault,)),
+                  Query(u, 0, (fault,)), Query(u, 0, (fault,)),
+                  Query(u, "island"), Query(u, "nowhere"), Query(u, u),
+                  Query(v, "island", (fault,)), Query(v, v, (fault,))]
+    # Between the Zipf batches, so the edge cases share groups with traffic.
+    queries[100:100] = edge_cases * 2
+    return snapshot, queries
+
+
+def _serve(snapshot, queries, kernel, cache_size):
+    engine = QueryEngine(snapshot, cache_size=cache_size, kernel=kernel)
+    answers = []
+    for batch in split_batches(queries, 64):
+        answers.extend(engine.distances_batch(batch))
+    return answers, engine.stats()
+
+
+@needs_numpy
+@pytest.mark.parametrize("cache_size", [0, 256])
+def test_auto_serving_above_the_cut_matches_loop_and_numpy(crossover_case,
+                                                           cache_size):
+    snapshot, queries = crossover_case
+    answers, stats = {}, {}
+    for kernel in ("auto", "loop", "numpy"):
+        answers[kernel], stats[kernel] = _serve(snapshot, queries, kernel,
+                                                cache_size)
+    assert answers["auto"] == answers["loop"] == answers["numpy"]
+    assert stats["auto"]["fused_sweeps"] == stats["numpy"]["fused_sweeps"] > 0
+    assert stats["loop"]["fused_sweeps"] == 0
+    for report in stats.values():  # backend identity and wall clock differ
+        for key in ("kernel", "fused_sweeps", "busy_seconds",
+                    "queries_per_second"):
+            report.pop(key)
+    assert stats["auto"] == stats["loop"] == stats["numpy"]
+    # The edge cases answer as the reference says.
+    model = get_fault_model(snapshot.fault_model)
+    for query, answer in zip(queries[100:109], answers["auto"][100:109]):
+        expected = bounded_distance(model.apply(snapshot.spanner, query.faults),
+                                    query.source, query.target, math.inf)
+        assert answer == expected, query
+
+
+@needs_numpy
+def test_serving_dispatch_follows_the_crossover():
+    from repro.paths.registry import SERVING_NODE_THRESHOLDS
+
+    numpy_label = 'kernels.dispatch{backend="numpy"}'
+    loop_label = 'kernels.dispatch{backend="loop"}'
+    for nodes, served_by in ((min(SERVING_NODE_THRESHOLDS.values()), "numpy"),
+                             (max(SERVING_NODE_THRESHOLDS.values()) - 1, "loop")):
+        graph = generators.gnm(nodes, 3 * nodes, rng=4, connected=True,
+                               weighted=True)
+        engine = QueryEngine(SpannerSnapshot(spanner=graph, stretch=1.0),
+                             cache_size=16, kernel="auto")
+        queries = zipf_workload(graph, 128, max_faults=1, fault_pool=3, rng=9)
+        delta = _counter_delta(lambda: [engine.distances_batch(batch)
+                                        for batch in split_batches(queries, 32)])
+        if served_by == "numpy":
+            assert delta.get(numpy_label, 0) > 0
+            assert delta.get(loop_label, 0) == 0
+        else:
+            assert delta.get(numpy_label, 0) == 0
+            assert delta.get(loop_label, 0) > 0
+        # The oracles' and verification's resolution keeps the 100k gate.
+        assert get_kernels("auto").resolve(csr_snapshot(graph)).name == "loop"
+
+
+@needs_numpy
+@pytest.mark.parametrize("form", ["full", "early_exit"])
+def test_fused_sweeps_are_cell_capped(form):
+    """A 256-group plan at n=1000 runs as ``ceil(256 / (cap // n))``
+    sweeps whose transient memory stays bounded: one uncapped sweep of
+    those 256,000 cells peaks near 60 MiB."""
+    import tracemalloc
+
+    from repro.engine.batch import FUSED_CELL_CAP, GroupMasks, run_groups
+
+    graph = generators.gnm(1000, 3000, rng=5, connected=True, weighted=True)
+    csr = csr_snapshot(graph)
+    model = get_fault_model("vertex")
+    rng = RandomSource(1)
+    nodes = list(graph.nodes())
+    # Distinct sources, so the engine's plan below has the same 256 groups.
+    plan = [(source, rng.choice(nodes), [rng.choice(nodes), rng.choice(nodes)])
+            for source in rng.sample(nodes, 256)]
+    groups = [(csr.index_of[source], model.canonical([fault]))
+              for source, fault, _ in plan]
+    targets = (None if form == "full" else
+               [[csr.index_of[t] for t in ts] for _, _, ts in plan])
+    masks = GroupMasks(csr, model)
+    run_groups(masks, get_kernels("auto"), groups[:2],
+               None if targets is None else targets[:2])  # warm the views
+    tracemalloc.start()
+    try:
+        rows, sweeps = run_groups(masks, get_kernels("auto"), groups, targets)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    per_sweep = FUSED_CELL_CAP // csr.num_nodes
+    assert sweeps == -(-len(groups) // per_sweep)
+    # Full rows hold 256 x 1000 Python floats (~8 MiB) themselves.
+    assert peak < 16 * 2 ** 20
+    loop_rows, loop_sweeps = run_groups(GroupMasks(csr, model),
+                                        get_kernels("loop"), groups, targets)
+    assert loop_sweeps == 0 and rows == loop_rows
+    # The engine counts each sweep that runs: two targets per group make
+    # every group worth a cached full vector, no cache serves early exits.
+    engine = QueryEngine(SpannerSnapshot(spanner=graph, stretch=1.0),
+                         cache_size=512 if form == "full" else 0,
+                         kernel="auto")
+    engine.distances_batch([Query(source, target, (fault,))
+                            for source, fault, ts in plan for target in ts])
+    assert engine.fused_sweeps == sweeps
+
+
+@needs_numpy
+def test_live_engine_above_the_cut_matches_loop_across_churn():
+    """Reads between churn updates on a 600-node live spanner: the auto
+    engine serves through numpy (compacting the shared CSR that inserts
+    grow, a new node included), the reference one through loop; spanners,
+    witnesses and answers stay equal."""
+    from repro.build import BuildSession, BuildSpec
+    from repro.dynamic import EdgeInsert, LiveEngine, random_journal
+
+    graph = generators.gnm(CROSSOVER_NODES, 3 * CROSSOVER_NODES, rng=31,
+                           connected=True, weighted=True)
+    journal = list(random_journal(graph, 24, rng=8))
+    journal[10:10] = [EdgeInsert(0, "newcomer", 1.0),
+                      EdgeInsert("newcomer", 7, 0.5)]
+    lives = {kernel: LiveEngine(BuildSession(
+                 graph.copy(), BuildSpec("ft-greedy", stretch=3, max_faults=1,
+                                         kernel=kernel)).dynamic())
+             for kernel in ("auto", "loop")}
+    queries = zipf_workload(graph, 448, max_faults=1, fault_pool=4, rng=12)
+    answers = {kernel: [] for kernel in lives}
+    delta = {}
+    for kernel, live in lives.items():
+        def run(live=live, out=answers[kernel]):
+            for step in range(7):
+                for batch in split_batches(queries[64 * step:64 * (step + 1)], 32):
+                    out.extend(live.distances_batch(batch))
+                live.apply_journal(journal[4 * step:4 * (step + 1)])
+            out.extend(live.distances_batch(
+                queries[:64] + [("newcomer", 9, ()), (9, "newcomer", (7,))]))
+        delta[kernel] = _counter_delta(run)
+    assert answers["auto"] == answers["loop"]
+    assert not math.isinf(answers["auto"][-2])  # the newcomer is served
+    auto, loop = (lives[kernel].dynamic for kernel in ("auto", "loop"))
+    assert list(auto.spanner.edges()) == list(loop.spanner.edges())
+    assert auto.witnesses == loop.witnesses
+    assert lives["auto"].engine.fused_sweeps > 0
+    assert delta["auto"].get('kernels.dispatch{backend="numpy"}', 0) > 0
+
+
+# --------------------------------------------------------------------------
 # Mask buffers
 # --------------------------------------------------------------------------
 

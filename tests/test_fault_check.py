@@ -358,8 +358,6 @@ class TestTieredDecisionQueries:
         # leaf that faults "c" would read "within".
         graph.add_edge(0, "c", budget / 2)
         graph.add_edge("c", target, budget / 2)
-        # Pinned to the loop backend, whose leaves ask the decision kernel
-        # one by one (numpy's run as one fused forward sweep).
         tiered = TieredOracle(kernel="loop")
         for max_faults in (0, 1, 2):
             for source, sink in ((0, target), (target, 0)):
@@ -499,12 +497,33 @@ class TestSearchWork:
     """
 
     @staticmethod
-    def _build_vft_graph():
-        # perfbench's build-vft instance 0 at seed 1: the sub-seed is
-        # (seed * 1_000_003 + salt * 7_919) mod (2**31 - 1) with salt 10.
-        seed = (1 * 1_000_003 + 10 * 7_919) % (2 ** 31 - 1)
+    def _build_vft_graph(instance: int = 0):
+        # perfbench's build-vft instance at seed 1: the sub-seed is
+        # (seed * 1_000_003 + salt * 7_919) mod (2**31 - 1) with salt
+        # 10 + instance.
+        seed = (1 * 1_000_003 + (10 + instance) * 7_919) % (2 ** 31 - 1)
         return generators.gnm(320, 1600, rng=seed, weighted=True,
                               connected=True)
+
+    @pytest.mark.parametrize("instance", [0, 1])
+    def test_numpy_build_vft_does_the_loop_build_work(self, instance):
+        # Both backends run one search: same spanner, witnesses, oracle
+        # counters and number of kernel resolutions.
+        graph = self._build_vft_graph(instance)
+        runs = {}
+        for kernel in ("loop", "numpy"):
+            before = get_registry().counters()
+            result = ft_greedy_spanner(graph, 5, 2, "vertex", oracle="tiered",
+                                       kernel=kernel)
+            delta = get_registry().counters_delta(before)
+            work = {name: value for name, value in delta.items()
+                    if name.startswith("oracle.")}
+            work["kernels.dispatch"] = delta.get(
+                f'kernels.dispatch{{backend="{kernel}"}}', 0)
+            runs[kernel] = (list(result.spanner.edges()),
+                            result.witness_fault_sets, work)
+        assert runs["numpy"] == runs["loop"]
+        assert runs["loop"][2]["oracle.nodes_expanded"] > 0
 
     @pytest.mark.parametrize("fault_model, expanded, distance, pool, dispatch", [
         ("vertex", 1015, 4386, 902, 3591),
@@ -555,9 +574,8 @@ def _brute_force_hitting_set(sets, size):
                for chosen in map(set, itertools.combinations(universe, count)))
 
 
-#: Both kernel backends: both branch on the decision kernel's path; the
-#: loop one asks it at every leaf too (leaves pool their paths), the numpy
-#: one fuses each node's leaves into one sweep (leaf paths are not pooled).
+#: Both kernel backends: both ask the decision kernel at every search node,
+#: leaves included, and branch on (and pool) the path it returns.
 KERNELS = ["loop", "numpy"]
 
 

@@ -24,6 +24,7 @@ from repro.paths.registry import (
     _UNAVAILABLE,
     AUTO_NODE_THRESHOLD,
     KERNEL_ENV_VAR,
+    SERVING_NODE_THRESHOLDS,
     KernelBackend,
     describe_kernel_backends,
     get_kernels,
@@ -217,6 +218,21 @@ class TestRegistry:
         assert auto.resolve(FakeCSR()).name == "numpy"
         FakeCSR.num_nodes = AUTO_NODE_THRESHOLD - 1
         assert auto.resolve(FakeCSR()).name == "loop"
+
+    @needs_numpy
+    def test_auto_serving_gates_per_call_kind(self):
+        class FakeCSR:
+            num_nodes = 0
+
+        auto = get_kernels("auto")
+        for call, threshold in SERVING_NODE_THRESHOLDS.items():
+            FakeCSR.num_nodes = threshold
+            assert auto.resolve_serving(FakeCSR(), call).name == "numpy"
+            assert auto.resolve(FakeCSR()).name == "loop"
+            FakeCSR.num_nodes = threshold - 1
+            assert auto.resolve_serving(FakeCSR(), call).name == "loop"
+        loop = get_kernels("loop")
+        assert loop.resolve_serving(FakeCSR(), "full") is loop
 
     def test_auto_dispatch_without_resolve(self):
         # Consumers that call the auto backend's kernels directly still get
