@@ -15,7 +15,7 @@ distance question on an FT spanner, forward kernel against the
 bidirectional one (verdicts asserted identical, band fallbacks counted).
 The ``serving_crossover`` table times loop against numpy per serving call
 kind, graph size and group count; the ``auto`` backend's serving
-thresholds (``repro.paths.registry.SERVING_NODE_THRESHOLDS``) are read off
+threshold (``repro.paths.registry.SERVING_NODE_THRESHOLD``) is read off
 it.  Running this file as a script records the comparisons (and the
 measured speedups) in ``BENCH_kernels.json`` at the repository root::
 
@@ -356,11 +356,10 @@ _CROSSOVER_PLANS = 12
 
 def _crossover_case(n: int, seed: int = 11):
     """The served shape: H = ft-greedy k=3 f=1 of a weighted G(n, 3n), and
-    per group count a few plans of groups, each one G edge ``(s, v)`` with
-    weight ``w``, a uniform target ``t`` and at most one fault vertex.
+    per group count a few plans of groups, each one G edge ``(s, v)``, a
+    uniform target ``t`` and at most one fault vertex outside ``{s, v}``.
     Serving runs ``(s, faults)`` to ``t`` (uniform targets, as in
-    :func:`repro.engine.workload.zipf_workload`); the decision query asks
-    ``d(s, v) > 3·w``, the oracles' question."""
+    :func:`repro.engine.workload.zipf_workload`)."""
     import random
 
     graph = generators.gnm(n, 3 * n, rng=seed + n, connected=True,
@@ -375,39 +374,32 @@ def _crossover_case(n: int, seed: int = 11):
         for _ in range(_CROSSOVER_PLANS):
             plan = []
             for _ in range(groups):
-                u, v, w = edges[rng.randrange(len(edges))]
+                u, v, _ = edges[rng.randrange(len(edges))]
                 s, v = csr.index_of[u], csr.index_of[v]
                 t = rng.choice([i for i in range(n) if i != s])
                 fault = rng.choice([i for i in range(n) if i not in (s, v)])
                 faults = (csr.node_of[fault],) if rng.random() < 0.5 else ()
-                plan.append((s, t, v, 3.0 * w, faults))
+                plan.append((s, t, faults))
             plans[groups].append(plan)
     return csr, plans
 
 
-def _crossover_calls(csr, masks, backend, plans) -> dict:
-    """The three call kinds over ``plans`` on ``backend``, as callables
-    returning their answers: ``run_groups`` full and early-exit runs, and
-    one forward decision query per group."""
+def _crossover_calls(masks, backend, plans) -> dict:
+    """The two serving call kinds over ``plans`` on ``backend``, as
+    callables returning their answers: ``run_groups`` full and early-exit
+    runs."""
     from repro.engine.batch import run_groups
 
     def full():
-        return [run_groups(masks, backend,
-                           [(s, f) for s, _, _, _, f in plan])[0]
+        return [run_groups(masks, backend, [(s, f) for s, _, f in plan])[0]
                 for plan in plans]
 
     def early_exit():
-        return [run_groups(masks, backend,
-                           [(s, f) for s, _, _, _, f in plan],
-                           [[t] for _, t, _, _, _ in plan])[0]
+        return [run_groups(masks, backend, [(s, f) for s, _, f in plan],
+                           [[t] for _, t, _ in plan])[0]
                 for plan in plans]
 
-    def decision():
-        return [backend.bounded_dijkstra_csr(csr, s, v, budget,
-                                             csr.vertex_fault_mask(f))
-                for plan in plans for s, _, v, budget, f in plan]
-
-    return {"full": full, "early_exit": early_exit, "decision": decision}
+    return {"full": full, "early_exit": early_exit}
 
 
 def record_serving_crossover() -> dict:
@@ -416,9 +408,8 @@ def record_serving_crossover() -> dict:
     ``full`` and ``early_exit`` are :func:`repro.engine.batch.run_groups`
     calls on an explicit backend — a fused sweep for two or more groups
     on numpy, one kernel per group otherwise — exactly as the engine
-    serves them; ``decision`` is one ``bounded_dijkstra_csr`` query per
-    group (the oracles' forward question, which has no fused form).  Both
-    backends' answers are asserted identical before timing.  Rows carry
+    serves them.  Both backends' answers are asserted identical before
+    timing.  Rows carry
     milliseconds per call; ``crossover_nodes`` is, per call kind and group
     count, the smallest grid size from which numpy is faster at every
     larger size (``None`` when it never is).
@@ -426,13 +417,13 @@ def record_serving_crossover() -> dict:
     from repro.engine.batch import GroupMasks
     from repro.faults.models import get_fault_model
     from repro.paths.registry import (
-        SERVING_NODE_THRESHOLDS, get_kernels, kernel_backend_names)
+        SERVING_NODE_THRESHOLD, get_kernels, kernel_backend_names)
 
     report = {
         "benchmark": "serving call kinds, loop vs numpy kernels "
                      "(ms per call; groups per call = fused width)",
         "graph": "G(n,3n) weighted, H = ft-greedy k=3 f=1 vertex",
-        "serving_thresholds": dict(SERVING_NODE_THRESHOLDS),
+        "serving_threshold": SERVING_NODE_THRESHOLD,
     }
     if "numpy" not in kernel_backend_names():
         report["numpy_available"] = False
@@ -444,9 +435,9 @@ def record_serving_crossover() -> dict:
         csr, plans = _crossover_case(n)
         masks = GroupMasks(csr, model)
         for groups in CROSSOVER_GROUPS:
-            runs = {name: _crossover_calls(csr, masks, backend, plans[groups])
+            runs = {name: _crossover_calls(masks, backend, plans[groups])
                     for name, backend in backends.items()}
-            for call in ("full", "early_exit", "decision"):
+            for call in ("full", "early_exit"):
                 assert runs["loop"][call]() == runs["numpy"][call](), (
                     f"{call} answers diverged at n={n}, groups={groups}")
                 loop_s = best_of(runs["loop"][call], repeats=3)
@@ -457,7 +448,7 @@ def record_serving_crossover() -> dict:
                     "numpy_ms": round(numpy_s * 1e3 / len(plans[groups]), 3),
                 })
     crossover = {}
-    for call in ("full", "early_exit", "decision"):
+    for call in ("full", "early_exit"):
         crossover[call] = {}
         for groups in CROSSOVER_GROUPS:
             cells = [row for row in rows

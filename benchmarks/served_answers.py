@@ -1,7 +1,7 @@
 """Print every answer a seeded serving replay gives, one ``repr`` per line.
 
 Builds the ft-greedy k=3 f=1 spanner of a weighted G(600, 1800) for one
-fault model (600 nodes is above every serving threshold of the ``auto``
+fault model (600 nodes is above the serving threshold of the ``auto``
 kernel backend), then replays a seeded ``zipf_workload`` and a
 ``fault_churn_sessions`` workload through ``QueryEngine`` in batches of 64
 and prints each answer with ``repr``.  Run it once per kernel in fresh

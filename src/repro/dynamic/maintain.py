@@ -50,8 +50,9 @@ rules that keep every held certificate true of the live ``H``:
 
 Certificates fill lazily: a new or snapshot-loaded maintainer holds none,
 and rejects without packed paths (the exact search's, ``f = 0`` rejects,
-non-tiered oracles, speculative worker rejects) record none, so those
-candidates keep the distance filter alone.
+non-tiered oracles) record none, so those candidates keep the distance
+filter alone.  A worker's packing reject in a speculative batch ships its
+certificate home with its answer.
 
 Every acceptance test — a single new or lighter edge, or a repair's dirty
 candidates — runs through the build's own loop,

@@ -11,8 +11,9 @@ exploits that:
    answers can be scattered back in request order;
 2. :func:`run_groups` answers a list of groups, all with the full
    distance vector (the cacheable form) or all with an early-exit run to
-   their targets, as the caller states.  The kernel backend resolves per
-   serving call kind (:meth:`~repro.paths.registry.KernelBackend.resolve_serving`).
+   their targets, as the caller states.  The kernel backend resolves at
+   the serving crossover
+   (:meth:`~repro.paths.registry.KernelBackend.resolve_serving`).
    When it has the multi-source kernel of that form and there are at least
    two groups, fused sweeps of at most :data:`FUSED_CELL_CAP` cells answer
    them all; otherwise each group costs **one** masked kernel run;
@@ -237,8 +238,8 @@ def run_groups(masks: GroupMasks, kernels: KernelBackend,
     Without ``targets`` every group gets its full masked distance vector
     (the cacheable form); with ``targets`` (one list of target indices per
     group) every group gets its distances in target order from a run that
-    early-exits once they settle.  ``kernels`` resolves for that call kind
-    on ``masks.csr``.  With at least two groups and a resolved backend that
+    early-exits once they settle.  ``kernels`` resolves for serving on
+    ``masks.csr``.  With at least two groups and a resolved backend that
     has the multi-source kernel of that form, fused sweeps of at most
     :data:`FUSED_CELL_CAP` cells answer them all; otherwise each group runs
     its own kernel.  Both give the same distances.  ``observe`` receives the
@@ -246,8 +247,7 @@ def run_groups(masks: GroupMasks, kernels: KernelBackend,
     the number of fused sweeps that ran.
     """
     csr = masks.csr
-    backend = kernels.resolve_serving(
-        csr, "full" if targets is None else "early_exit")
+    backend = kernels.resolve_serving(csr)
     fused = (backend.multi_source_sssp if targets is None
              else backend.multi_source_multi_target)
     if fused is not None and len(groups) > 1:

@@ -20,10 +20,10 @@ vector already in the cache.  Every other group — and every group when the
 cache is disabled (``cache_size=0``) — queues the early-exiting
 multi-target kernel, which is cheaper for one-shot traffic.  Both queues
 then go through :func:`repro.engine.batch.run_groups`, which resolves the
-kernel backend per serving call kind (under ``auto``, numpy from the
-serving crossover in :data:`repro.paths.registry.SERVING_NODE_THRESHOLDS`),
-fuses a queue into cell-capped multi-source sweeps when that backend has
-them and runs a kernel per group otherwise.  An audit's ground-truth read is one
+kernel backend for serving (under ``auto``, numpy from the serving
+crossover :data:`repro.paths.registry.SERVING_NODE_THRESHOLD`), fuses a
+queue into cell-capped multi-source sweeps when that backend has them and
+runs a kernel per group otherwise.  An audit's ground-truth read is one
 early-exit group through the same runner, over the original graph.
 
 Answers are identical on every path, and identical to the per-query
@@ -123,11 +123,11 @@ class QueryEngine:
         disables caching (pure streaming mode).
     kernel:
         Kernel backend (:func:`repro.paths.get_kernels` spec) answering the
-        distance queries; ``None`` auto-selects by graph size and serving
-        call kind.  When the resolved backend ships multi-source kernels,
-        whole plans are served by fused sweeps (one kernel invocation for
-        many groups) — answers, counters and cache behaviour stay
-        bit-identical to per-group runs.
+        distance queries; ``None`` auto-selects by graph size at the
+        serving crossover.  When the resolved backend ships multi-source
+        kernels, whole plans are served by fused sweeps (one kernel
+        invocation for many groups) — answers, counters and cache behaviour
+        stay bit-identical to per-group runs.
     """
 
     def __init__(self, snapshot: SpannerSnapshot, *, cache_size: int = 256,

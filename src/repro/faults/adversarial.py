@@ -162,15 +162,14 @@ class SourceTrees:
 
 
 def source_trees(csr_g: CSRGraph, csr_h: CSRGraph, model: FaultModel,
-                 kernel: KernelLike = None) -> Optional[SourceTrees]:
-    """The :class:`SourceTrees` memo of ``(csr_g, csr_h, model)``, or ``None``.
+                 kernel: KernelLike = None) -> SourceTrees:
+    """The :class:`SourceTrees` memo of ``(csr_g, csr_h, model)``.
 
     One :func:`~repro.paths.kernels.multi_target_tree_csr` search per
     planned source in the unfaulted ``csr_h`` records each target's ratio
     and the faultable elements on its recorded path: the internal vertices
     under vertex faults, every edge under edge faults (an endpoint fault
-    drops the target from G anyway).  ``None`` when the resolved kernel
-    backend has no tree kernel (numpy): callers then search every source.
+    drops the target from G anyway).
 
     Memoised on ``csr_h`` like :func:`_edge_plan`, with the fault model in
     the key.  The backend is resolved on every call, hit or miss, so the
@@ -179,8 +178,6 @@ def source_trees(csr_g: CSRGraph, csr_h: CSRGraph, model: FaultModel,
     fresh one cost the counter the same.
     """
     tree = get_kernels(kernel).resolve(csr_h).multi_target_tree
-    if tree is None:
-        return None
     key = (csr_g.num_nodes, csr_g.num_edges, csr_h.num_nodes,
            csr_h.num_edges, model.name)
     cached = csr_h._nd_views.get("source_trees")

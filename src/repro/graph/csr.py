@@ -140,7 +140,7 @@ class CSRGraph:
         (list indexing returns the stored object; array indexing boxes a
         fresh int/float per access).  A compaction only marks the mirrors
         stale — they are rebuilt here, on the first loop-kernel query after
-        it, so a numpy-backend build never pays ``tolist`` at all.
+        it, so a snapshot only numpy sweeps read never pays ``tolist``.
         """
         if self._mirrors_stale:
             self._refresh_mirrors()

@@ -11,9 +11,9 @@ Plain :class:`Graph` inputs are executed by the array-native CSR kernels in
 ``*_csr`` functions re-exported here are the raw kernels for callers that
 manage their own snapshots and fault masks.
 
-Kernels come in swappable backends (pure-Python ``loop``, vectorized
-``numpy``) registered in :mod:`repro.paths.registry`; see
-:func:`get_kernels`.  The re-exported ``*_csr`` names are the ``loop``
+Kernels come in swappable backends (pure-Python ``loop``, and ``numpy``:
+``loop`` with vectorized full and early-exit sweeps) registered in
+:mod:`repro.paths.registry`; see :func:`get_kernels`.  The re-exported ``*_csr`` names are the ``loop``
 reference implementations.
 """
 

@@ -28,7 +28,8 @@ fault-check oracles, read a verdict that a band around the budget keeps
 equal to the forward kernel's, and branch on its path, which is short and
 live but otherwise any; ``tests/test_csr_kernels.py`` checks it against
 :func:`bounded_dijkstra_csr` on that contract.  The numpy backend registers
-this same function, so every backend returns the same path.
+this same function (as it does every kernel here but the full and
+early-exit sweeps), so every backend returns the same path.
 :func:`multi_target_tree_csr` is :func:`multi_target_dijkstra_csr` with its
 shortest-path tree returned as well, for the verification memo in
 :mod:`repro.faults.adversarial`.

@@ -1,15 +1,21 @@
-"""Vectorized (numpy) twins of the loop kernels in :mod:`repro.paths.kernels`.
+"""Vectorized (numpy) versions of the loop kernels numpy wins on.
 
-Same six signatures, same masks, same return types — but the per-frontier
-work is numpy gathers/scatters over the zero-copy CSR ndarray views
+The numpy kernel backend (:mod:`repro.paths.registry`) is the loop backend
+with four calls replaced by the kernels here: full single-source sweeps
+(:func:`sssp_dijkstra_csr`), early-exit sweeps
+(:func:`multi_target_dijkstra_csr`) and their fused multi-source forms
+(:func:`multi_source_sssp_csr`, :func:`multi_source_multi_target_csr`).
+The first two keep the signatures, masks and return types of their
+:mod:`repro.paths.kernels` namesakes, but the per-frontier work is numpy
+gathers/scatters over the zero-copy CSR ndarray views
 (:meth:`~repro.graph.csr.CSRGraph.as_ndarrays`) instead of per-edge Python
 bytecode.  The module is only importable when numpy is; the kernel registry
-(:mod:`repro.paths.registry`) gates on that.
+gates on that.
 
 **Byte-identity.**  The hard invariant — enforced by
 ``tests/test_kernel_backends.py`` — is that every kernel here returns values
-*bit-identical* to its loop twin: distances, witness paths, settle/discovery
-order, early-exit answers.  Two observations make that possible without
+*bit-identical* to the loop kernel it replaces: distances, settle order,
+early-exit answers.  Two observations make that possible without
 replaying the heap:
 
 1.  *Distances are relaxation-order independent.*  Edge weights are strictly
@@ -171,72 +177,9 @@ def _settle_order(csr: CSRGraph, nd, dist: np.ndarray,
     return order, settle_pos
 
 
-def _winning_parent(csr: CSRGraph, nd, dist: np.ndarray,
-                    settle_pos: np.ndarray, emask: Optional[np.ndarray],
-                    node: int) -> int:
-    """The parent the loop kernel recorded for ``node``: its first achiever."""
-    indptr, indices, weights, edge_ids = nd
-    start, end = int(indptr[node]), int(indptr[node + 1])
-    nbrs = indices[start:end]
-    achieving = dist[nbrs] + weights[start:end] == dist[node]
-    if emask is not None:
-        achieving &= emask[edge_ids[start:end]] == 0
-    candidates = np.flatnonzero(achieving)
-    if candidates.size == 1:
-        return int(nbrs[candidates[0]])
-    rev = csr.reverse_arcs()[start:end]
-    best = min(candidates, key=lambda i: (settle_pos[nbrs[i]], rev[i]))
-    return int(nbrs[best])
-
-
 # --------------------------------------------------------------------------
-# The six kernel twins
+# Single-source sweeps
 # --------------------------------------------------------------------------
-
-def bounded_dijkstra_csr(csr: CSRGraph, source: int, target: int, budget: float,
-                         vertex_mask: Optional[bytearray] = None,
-                         edge_mask: Optional[bytearray] = None) -> float:
-    """Vectorized twin of :func:`repro.paths.kernels.bounded_dijkstra_csr`."""
-    if vertex_mask is not None and (vertex_mask[source] or vertex_mask[target]):
-        return _INF
-    if source == target:
-        return 0.0
-    nd = csr.as_ndarrays()
-    dist = _relax(nd, csr.num_nodes, source, budget, _mask_nd(vertex_mask),
-                  _mask_nd(edge_mask),
-                  targets=np.array([target], dtype=np.int64))
-    return float(dist[target])
-
-
-def bounded_dijkstra_path_csr(csr: CSRGraph, source: int, target: int, budget: float,
-                              vertex_mask: Optional[bytearray] = None,
-                              edge_mask: Optional[bytearray] = None
-                              ) -> Tuple[float, List[int]]:
-    """Vectorized twin of :func:`repro.paths.kernels.bounded_dijkstra_path_csr`.
-
-    The witness path is rebuilt by walking first-achiever parents back from
-    the target, which is exactly the parent chain the loop kernel's winning
-    heap entries record.
-    """
-    if vertex_mask is not None and (vertex_mask[source] or vertex_mask[target]):
-        return _INF, []
-    if source == target:
-        return 0.0, [source]
-    nd = csr.as_ndarrays()
-    emask = _mask_nd(edge_mask)
-    dist = _relax(nd, csr.num_nodes, source, budget, _mask_nd(vertex_mask),
-                  emask)
-    if not np.isfinite(dist[target]):
-        return _INF, []
-    _, settle_pos = _settle_order(csr, nd, dist, emask)
-    path = [target]
-    node = target
-    while node != source:
-        node = _winning_parent(csr, nd, dist, settle_pos, emask, node)
-        path.append(node)
-    path.reverse()
-    return float(dist[target]), path
-
 
 def sssp_dijkstra_csr(csr: CSRGraph, source: int,
                       cutoff: Optional[float] = None,
@@ -280,103 +223,6 @@ def multi_target_dijkstra_csr(csr: CSRGraph, source: int, targets: List[int],
     for position in pending:
         result[position] = float(dist[targets[position]])
     return result
-
-
-def bfs_distances_csr(csr: CSRGraph, source: int,
-                      max_hops: Optional[int] = None,
-                      vertex_mask: Optional[bytearray] = None,
-                      edge_mask: Optional[bytearray] = None
-                      ) -> Tuple[List[int], List[int]]:
-    """Vectorized twin of :func:`repro.paths.kernels.bfs_distances_csr`.
-
-    The reference discovery order within a level is "parents in dequeue
-    order, arcs in scan order" — reproduced by tagging each discovery with
-    ``(parent position, arc index)`` and keeping the minimum per node.
-    """
-    n = csr.num_nodes
-    dist = np.full(n, -1, dtype=np.int64)
-    if vertex_mask is not None and vertex_mask[source]:
-        return dist.tolist(), []
-    nd = csr.as_ndarrays()
-    indptr, indices, _, edge_ids = nd
-    vmask = _mask_nd(vertex_mask)
-    emask = _mask_nd(edge_mask)
-    key_base = np.int64(len(indices) + 1)
-    pos = np.zeros(n, dtype=np.int64)
-    dist[source] = 0
-    order_parts = [np.array([source], dtype=np.int64)]
-    frontier = order_parts[0]
-    discovered = 1
-    level = 0
-    while frontier.size:
-        level += 1
-        if max_hops is not None and level > max_hops:
-            break
-        arcs, reps = _expand(indptr, frontier)
-        if arcs.size == 0:
-            break
-        nbr = indices[arcs]
-        keep = dist[nbr] < 0
-        if emask is not None:
-            keep &= emask[edge_ids[arcs]] == 0
-        if vmask is not None:
-            keep &= vmask[nbr] == 0
-        nbr = nbr[keep]
-        if nbr.size == 0:
-            break
-        key = pos[frontier][reps[keep]] * key_base + arcs[keep]
-        by_node = np.lexsort((key, nbr))
-        nbr_sorted = nbr[by_node]
-        key_sorted = key[by_node]
-        first = np.concatenate(([True], nbr_sorted[1:] != nbr_sorted[:-1]))
-        new_nodes = nbr_sorted[first]
-        new_nodes = new_nodes[np.argsort(key_sorted[first], kind="stable")]
-        dist[new_nodes] = level
-        pos[new_nodes] = np.arange(discovered, discovered + new_nodes.size)
-        discovered += new_nodes.size
-        order_parts.append(new_nodes)
-        frontier = new_nodes
-    return dist.tolist(), np.concatenate(order_parts).tolist()
-
-
-def bounded_bfs_csr(csr: CSRGraph, source: int, target: int,
-                    max_hops: Optional[int] = None,
-                    vertex_mask: Optional[bytearray] = None,
-                    edge_mask: Optional[bytearray] = None) -> float:
-    """Vectorized twin of :func:`repro.paths.kernels.bounded_bfs_csr`."""
-    if vertex_mask is not None and (vertex_mask[source] or vertex_mask[target]):
-        return _INF
-    if source == target:
-        return 0.0
-    nd = csr.as_ndarrays()
-    indptr, indices, _, edge_ids = nd
-    vmask = _mask_nd(vertex_mask)
-    emask = _mask_nd(edge_mask)
-    seen = np.zeros(csr.num_nodes, dtype=bool)
-    if vmask is not None:
-        seen |= vmask != 0
-    seen[source] = True
-    frontier = np.array([source], dtype=np.int64)
-    level = 0
-    while frontier.size:
-        level += 1
-        if max_hops is not None and level > max_hops:
-            return _INF
-        arcs, _ = _expand(indptr, frontier)
-        if arcs.size == 0:
-            return _INF
-        nbr = indices[arcs]
-        keep = ~seen[nbr]
-        if emask is not None:
-            keep &= emask[edge_ids[arcs]] == 0
-        nbr = nbr[keep]
-        if nbr.size == 0:
-            return _INF
-        if (nbr == target).any():
-            return float(level)
-        frontier = np.unique(nbr)
-        seen[frontier] = True
-    return _INF
 
 
 # --------------------------------------------------------------------------

@@ -6,29 +6,26 @@ one by name (or take the default), and unknown names fail loudly with the
 list of registered names.  Two backends ship:
 
 ``loop``
-    The pure-Python reference kernels from :mod:`repro.paths.kernels`.
-    Always available; the semantics baseline.
+    The pure-Python kernels from :mod:`repro.paths.kernels`.  Always
+    available; the semantics baseline, and the implementation of every
+    call no other backend overrides.
 
 ``numpy``
-    The vectorized twins from :mod:`repro.paths.kernels_np`, byte-identical
-    to ``loop`` on every output (distances, witness paths, visit orders,
-    early exits) but doing per-frontier work in array operations.  Registered
-    only when numpy imports; resolving it without numpy raises
-    ``RuntimeError`` with the import failure.
+    ``loop`` with the four calls that array sweeps win replaced by their
+    :mod:`repro.paths.kernels_np` versions: full single-source sweeps
+    (``sssp_dijkstra_csr``), early-exit sweeps
+    (``multi_target_dijkstra_csr``) and their fused multi-source forms
+    (``multi_source_sssp``, ``multi_source_multi_target``, which ``loop``
+    lacks).  Each returns values bit-identical to the loop kernel it
+    replaces.  Every other call *is* the loop function, so the exact
+    oracles' decision kernel, the verify memo's tree kernel and the
+    bounded and BFS kernels answer the same on both backends by
+    construction.  Registered only when numpy imports; resolving it
+    without numpy raises ``RuntimeError`` with the import failure.
 
-Every backend carries the decision kernel ``bidirectional_bounded_path``,
-and both shipped ones carry the same one: the loop
-:func:`~repro.paths.kernels.bidirectional_bounded_path_csr`, which reads
-the same snapshot.  It has no twin rule (its tied paths are its own
-choice), so one implementation is what keeps the exact oracles, which
-branch on its path, returning the same witnesses on every backend.
-``loop`` also carries ``multi_target_tree`` (a multi-target search that
-also returns its shortest-path tree), with no numpy twin.  The optional
-fields are ``None`` on ``auto``; consumers call them on the backend
-:meth:`KernelBackend.resolve` returns and fall back without them (to
-per-query calls, and to searching every verification source).  numpy's
-multi-source kernels have one consumer, the serving runner
-:func:`repro.engine.batch.run_groups`.
+The multi-source entry points are ``None`` on ``loop`` and ``auto``; their
+one consumer, the serving runner :func:`repro.engine.batch.run_groups`,
+runs one kernel per group without them.
 
 The default is ``auto``, a dispatching backend with two resolutions:
 
@@ -37,10 +34,9 @@ The default is ``auto``, a dispatching backend with two resolutions:
   :data:`AUTO_NODE_THRESHOLD` nodes (where the array sweep wins
   decisively) and ``loop`` below it (where Python loop overhead is lower
   than numpy's per-call setup);
-* :meth:`KernelBackend.resolve_serving` (``run_groups`` only) picks per
-  serving call kind — full distance vectors or early-exit runs, fused or
-  single-group — from :data:`SERVING_NODE_THRESHOLDS`, the measured
-  serving crossover.
+* :meth:`KernelBackend.resolve_serving` (``run_groups`` only) picks
+  ``numpy`` from :data:`SERVING_NODE_THRESHOLD` nodes, the measured
+  serving crossover, and ``loop`` below it.
 
 ``REPRO_KERNEL`` in the environment overrides the default; an explicit
 ``kernel=`` argument beats both.
@@ -54,7 +50,7 @@ the ``auto`` gates went each way.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Union
 
 from repro.graph.csr import CSRGraph
@@ -65,21 +61,17 @@ from repro.paths import kernels as _loop
 #: kernels.  Below it the numpy per-call setup overhead dominates.
 AUTO_NODE_THRESHOLD = 100_000
 
-#: The serving crossover: per call kind of
-#: :func:`repro.engine.batch.run_groups`, the node count from which ``auto``
-#: serves it with numpy (fused or single-group).  ``"full"`` is full masked
-#: distance vectors (the cacheable form), ``"early_exit"`` runs that stop
-#: once their targets settle.  Read off the ``serving_crossover`` table of
-#: ``BENCH_kernels.json`` (``benchmarks/bench_kernels.py`` writes it: ms per
-#: call on G(n, 3n) k=3 f=1 spanners, numpy against loop, for groups of
-#: 1/2/4/8).  Fused plans of >= 2 groups win from 100-500 nodes (full) and
-#: 200-500 (early exit), sooner the more groups they hold; single groups
-#: lose at 200 on both kinds, win from 500 (full) and are even at 500,
-#: winning from 1,000 (early exit).  One cut of
-#: 500 serves both kinds, and keeps 200-node daemons on loop.  Decision
-#: queries, which numpy loses up to about 1,000 nodes, are not served here
-#: and keep :data:`AUTO_NODE_THRESHOLD`.
-SERVING_NODE_THRESHOLDS: Dict[str, int] = {"full": 500, "early_exit": 500}
+#: The serving crossover: the node count from which ``auto`` serves the
+#: calls of :func:`repro.engine.batch.run_groups` (full masked distance
+#: vectors and early-exit runs, fused or single-group) with numpy.  Read off
+#: the ``serving_crossover`` table of ``BENCH_kernels.json``
+#: (``benchmarks/bench_kernels.py`` writes it: ms per call on G(n, 3n) k=3
+#: f=1 spanners, numpy against loop, for groups of 1/2/4/8).  Fused plans of
+#: >= 2 groups win from 100-500 nodes, sooner the more groups they hold;
+#: single groups lose at 200 on both kinds, win from 500 (full) and are even
+#: at 500, winning from 1,000 (early exit).  One cut of 500 serves both
+#: kinds, and keeps 200-node daemons on loop.
+SERVING_NODE_THRESHOLD = 500
 
 #: Environment variable consulted when no explicit kernel is requested.
 KERNEL_ENV_VAR = "REPRO_KERNEL"
@@ -102,15 +94,14 @@ def _count_dispatch(name: str) -> None:
 class KernelBackend:
     """A named bundle of CSR kernel callables.
 
-    The seven required kernels share signatures with their reference
-    definitions in :mod:`repro.paths.kernels`; ``bidirectional_bounded_path``
-    is the exact oracles' decision kernel
-    (:func:`repro.paths.kernels.bidirectional_bounded_path_csr`).  The
-    optional entry points are ``None`` when a backend has no
-    implementation: consumers fall back to per-query calls of the batched
-    ones, and to unmemoised verification sweeps without
-    ``multi_target_tree`` (:func:`repro.paths.kernels.multi_target_tree_csr`,
-    ``loop`` only).
+    The eight required kernels share signatures with their definitions in
+    :mod:`repro.paths.kernels`; ``bidirectional_bounded_path`` is the exact
+    oracles' decision kernel
+    (:func:`repro.paths.kernels.bidirectional_bounded_path_csr`) and
+    ``multi_target_tree`` the verify memo's
+    (:func:`repro.paths.kernels.multi_target_tree_csr`).  The fused
+    multi-source entry points are ``None`` when a backend has none:
+    :func:`repro.engine.batch.run_groups` then runs one kernel per group.
     """
 
     name: str
@@ -122,21 +113,20 @@ class KernelBackend:
     bfs_distances_csr: Callable
     bounded_bfs_csr: Callable
     bidirectional_bounded_path: Callable
+    multi_target_tree: Callable
     multi_source_sssp: Optional[Callable] = None
     multi_source_multi_target: Optional[Callable] = None
-    multi_target_tree: Optional[Callable] = None
 
     def resolve(self, csr: CSRGraph) -> "KernelBackend":
         """The concrete backend serving ``csr`` (identity for real backends)."""
         _count_dispatch(self.name)
         return self
 
-    def resolve_serving(self, csr: CSRGraph, call: str) -> "KernelBackend":
-        """The concrete backend answering one serving ``call`` on ``csr``.
+    def resolve_serving(self, csr: CSRGraph) -> "KernelBackend":
+        """The concrete backend answering a serving call on ``csr``.
 
-        ``call`` is a :data:`SERVING_NODE_THRESHOLDS` key; only
-        :func:`repro.engine.batch.run_groups` asks.  :meth:`resolve` for
-        real backends.
+        Only :func:`repro.engine.batch.run_groups` asks.  :meth:`resolve`
+        for real backends.
         """
         return self.resolve(csr)
 
@@ -156,8 +146,8 @@ class _AutoKernelBackend(KernelBackend):
     def resolve(self, csr: CSRGraph) -> KernelBackend:
         return self._pick(csr.num_nodes, AUTO_NODE_THRESHOLD)
 
-    def resolve_serving(self, csr: CSRGraph, call: str) -> KernelBackend:
-        return self._pick(csr.num_nodes, SERVING_NODE_THRESHOLDS[call])
+    def resolve_serving(self, csr: CSRGraph) -> KernelBackend:
+        return self._pick(csr.num_nodes, SERVING_NODE_THRESHOLD)
 
 
 KernelLike = Union[None, str, KernelBackend]
@@ -220,7 +210,7 @@ def get_kernels(kernel: KernelLike = None) -> KernelBackend:
         ) from None
 
 
-register_kernel_backend(KernelBackend(
+_LOOP = KernelBackend(
     name="loop",
     description="pure-Python reference kernels (always available)",
     bounded_dijkstra_csr=_loop.bounded_dijkstra_csr,
@@ -231,26 +221,25 @@ register_kernel_backend(KernelBackend(
     bounded_bfs_csr=_loop.bounded_bfs_csr,
     bidirectional_bounded_path=_loop.bidirectional_bounded_path_csr,
     multi_target_tree=_loop.multi_target_tree_csr,
-))
+)
+register_kernel_backend(_LOOP)
 
 try:
     from repro.paths import kernels_np as _np_kernels
 except ImportError as exc:  # pragma: no cover - exercised only without numpy
     _UNAVAILABLE["numpy"] = f"numpy import failed ({exc})"
 else:
-    register_kernel_backend(KernelBackend(
+    register_kernel_backend(replace(
+        _LOOP,
         name="numpy",
-        description="vectorized array kernels (requires numpy)",
-        bounded_dijkstra_csr=_np_kernels.bounded_dijkstra_csr,
-        bounded_dijkstra_path_csr=_np_kernels.bounded_dijkstra_path_csr,
+        description=("loop kernels with numpy array sweeps for single- and "
+                     "multi-source distances (requires numpy)"),
         sssp_dijkstra_csr=_np_kernels.sssp_dijkstra_csr,
         multi_target_dijkstra_csr=_np_kernels.multi_target_dijkstra_csr,
-        bfs_distances_csr=_np_kernels.bfs_distances_csr,
-        bounded_bfs_csr=_np_kernels.bounded_bfs_csr,
         multi_source_sssp=_np_kernels.multi_source_sssp_csr,
         multi_source_multi_target=_np_kernels.multi_source_multi_target_csr,
-        bidirectional_bounded_path=_loop.bidirectional_bounded_path_csr,
     ))
+
 
 def _auto_dispatch(kernel_name: str) -> Callable:
     # Per-call dispatch so even consumers that skip resolve() get the gate.
@@ -265,8 +254,7 @@ _REGISTRY["auto"] = _AutoKernelBackend(
     name="auto",
     description=(
         f"numpy kernels at >= {AUTO_NODE_THRESHOLD} nodes when available "
-        f"(serving: >= {min(SERVING_NODE_THRESHOLDS.values())}), "
-        "loop kernels otherwise"
+        f"(serving: >= {SERVING_NODE_THRESHOLD}), loop kernels otherwise"
     ),
     bounded_dijkstra_csr=_auto_dispatch("bounded_dijkstra_csr"),
     bounded_dijkstra_path_csr=_auto_dispatch("bounded_dijkstra_path_csr"),
@@ -275,4 +263,5 @@ _REGISTRY["auto"] = _AutoKernelBackend(
     bfs_distances_csr=_auto_dispatch("bfs_distances_csr"),
     bounded_bfs_csr=_auto_dispatch("bounded_bfs_csr"),
     bidirectional_bounded_path=_auto_dispatch("bidirectional_bounded_path"),
+    multi_target_tree=_auto_dispatch("multi_target_tree"),
 )

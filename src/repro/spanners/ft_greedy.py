@@ -333,13 +333,17 @@ class _FTCheckContext:
 
 def _ft_check_chunk(ctx: _FTCheckContext,
                     chunk: List[Tuple[Node, Node, float]]):
-    """Speculatively fault-check one chunk of edges against the frozen H."""
+    """Speculatively fault-check one chunk of edges against the frozen H.
+
+    Each answer ships with its :func:`_certificate`.
+    """
     model = get_fault_model(ctx.fault_model)
     checker = get_oracle(ctx.oracle, ctx.kernel)
-    found: List[Optional[FaultSet]] = []
+    found: List[Tuple[Optional[FaultSet], Optional[FrozenSet]]] = []
     for source, target, budget in chunk:
-        found.append(checker.find_breaking_fault_set_csr(
-            ctx.csr, source, target, budget, ctx.max_faults, model))
+        fault_set = checker.find_breaking_fault_set_csr(
+            ctx.csr, source, target, budget, ctx.max_faults, model)
+        found.append((fault_set, _certificate(checker)))
     # Ship the oracle's whole counter family — queries, distance queries,
     # nodes expanded, and the tiered screen/exact outcome tallies (labeled
     # keys like ``oracle.screen{outcome="reject"}`` round-trip through
@@ -376,6 +380,13 @@ def _packed_edge_keys(packed: Tuple[CSRGraph, List[List[int]]]) -> FrozenSet:
                      for path in paths for a, b in zip(path, path[1:]))
 
 
+def _certificate(checker: FaultCheckOracle) -> Optional[FrozenSet]:
+    """The ``H`` edge keys behind ``checker``'s last answer if it was a
+    packing-certified reject, else ``None``."""
+    packed = checker.packed_paths
+    return None if packed is None else _packed_edge_keys(packed)
+
+
 def acceptance_sweep(spanner: Graph, candidates: Sequence[Candidate],
                      checker: FaultCheckOracle, model: FaultModel,
                      stretch: float, max_faults: int,
@@ -396,10 +407,11 @@ def acceptance_sweep(spanner: Graph, candidates: Sequence[Candidate],
     A reject the checker certified with disjoint short paths
     (:attr:`~repro.spanners.fault_check.FaultCheckOracle.packed_paths`) is
     recorded in ``certificates`` (when given) under ``edge_key(u, v)``, as
-    the frozenset of ``H`` edge keys on those paths.  Other rejects record
-    nothing: exact-search and ``f = 0`` rejects, every reject of a
-    non-tiered oracle, and every reject a worker decided in a speculative
-    batch (its paths stay in the worker).
+    the frozenset of ``H`` edge keys on those paths.  A worker's reject in
+    a speculative batch ships those keys home; its paths lie in the
+    batch-start ``H``, and ``H`` only gains edges within a sweep, so they
+    still lie in the live one.  Other rejects record nothing: exact-search
+    and ``f = 0`` rejects, and every reject of a non-tiered oracle.
 
     With ``backend.workers > 1`` and at least :data:`_BATCH_MIN` candidates
     the checks run in speculative batches (see the module docstring); the
@@ -411,12 +423,12 @@ def acceptance_sweep(spanner: Graph, candidates: Sequence[Candidate],
     sweep = Sweep()
 
     def decide(u, v, w, fault_set: Optional[FaultSet],
-               packed: Optional[Tuple]) -> None:
+               certificate: Optional[FrozenSet]) -> None:
         if fault_set is None:
             if metrics is not None:
                 metrics.rejects.inc()
-            if certificates is not None and packed is not None:
-                certificates[edge_key(u, v)] = _packed_edge_keys(packed)
+            if certificates is not None and certificate is not None:
+                certificates[edge_key(u, v)] = certificate
             return
         if metrics is not None:
             metrics.accepts.inc()
@@ -432,7 +444,8 @@ def acceptance_sweep(spanner: Graph, candidates: Sequence[Candidate],
             sweep.considered += 1
             fault_set = checker.find_breaking_fault_set(
                 spanner, u, v, stretch * w, max_faults, model)
-            decide(u, v, w, fault_set, checker.packed_paths)
+            decide(u, v, w, fault_set,
+                   None if certificates is None else _certificate(checker))
         return sweep
 
     registry = get_registry()
@@ -459,7 +472,8 @@ def acceptance_sweep(spanner: Graph, candidates: Sequence[Candidate],
         else:
             span = nullcontext()
         with span:
-            speculative: List[Optional[FaultSet]] = []
+            speculative: List[Tuple[Optional[FaultSet],
+                                    Optional[FrozenSet]]] = []
             for chunk_found, counters in backend.map(
                     _ft_check_chunk, split_sequence(tasks, backend.workers),
                     context=context, metrics=registry):
@@ -470,9 +484,9 @@ def acceptance_sweep(spanner: Graph, candidates: Sequence[Candidate],
                 # the registry).
                 merge_counters(sweep.worker_counters, counters)
                 registry.merge_counters(counters)
-            for (u, v, w), fault_set in zip(batch, speculative):
+            for (u, v, w), (fault_set, certificate) in zip(batch,
+                                                           speculative):
                 sweep.considered += 1
-                packed = None  # a worker's reject keeps its paths
                 # A reject is monotone-safe: no fault set broke (u, v)
                 # against the batch-start H, so none breaks it against the
                 # current, denser H either.  An accept is the serial answer
@@ -483,8 +497,8 @@ def acceptance_sweep(spanner: Graph, candidates: Sequence[Candidate],
                         metrics.rechecks.inc()
                     fault_set = checker.find_breaking_fault_set(
                         spanner, u, v, stretch * w, max_faults, model)
-                    packed = checker.packed_paths
-                decide(u, v, w, fault_set, packed)
+                    certificate = _certificate(checker)
+                decide(u, v, w, fault_set, certificate)
     return sweep
 
 

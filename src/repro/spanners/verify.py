@@ -181,7 +181,7 @@ class _FaultSetContext:
     fault_model: str
     kernel: Optional[str]
     #: Built once by the caller (:func:`source_trees`); workers never rebuild it.
-    memo: Optional[SourceTrees]
+    memo: SourceTrees
     #: The stop rule: a sweep stops after the first stretch above ``stop``;
     #: ``None`` never stops.
     stop: Optional[float]
@@ -323,8 +323,7 @@ def is_ft_spanner(original: Graph, subgraph: Graph, stretch: float, max_faults: 
     float sums, ``fl(a + w)`` is monotone, and removing elements only
     removes paths, so a fault set that spares a recorded path leaves its
     distance unchanged to the last bit.  The report is identical to
-    searching every source; without the tree kernel (numpy) every source
-    is searched.
+    searching every source.
     """
     if stretch < 1:
         raise ValueError("stretch must be at least 1")

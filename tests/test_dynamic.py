@@ -502,7 +502,7 @@ class TestShardedMaintenance:
                             recording_sweep)
         # The exhaustive oracle also exercises the shipped-elements path.
         for oracle in (None, "exhaustive"):
-            graph = generators.gnm(20, 64, rng=10, connected=True,
+            graph = generators.gnm(30, 100, rng=10, connected=True,
                                    weighted=True)
             journal = random_journal(graph, 60, rng=17)
             spec = _spec(fault_model=fault_model, oracle=oracle)
@@ -542,6 +542,28 @@ class TestShardedMaintenance:
                 == serial_record.report.fault_sets_checked)
         assert (sharded_record.report.worst_stretch
                 == serial_record.report.worst_stretch)
+
+    def test_worker_rejects_ship_their_certificates(self):
+        # Speculative batches record the packing certificates their workers
+        # found, so a sharded maintainer skips dirty candidates like a
+        # serial one (this case held 4 certificates against serial's 97
+        # when workers shipped fault sets only).
+        graph = generators.gnm(60, 240, rng=10, connected=True, weighted=True)
+        journal = random_journal(graph, 120, rng=17)
+        serial = DynamicSpanner(graph.copy(), _spec())
+        serial.apply_journal(journal)
+        sharded = DynamicSpanner(graph.copy(),
+                                 _spec(workers=2, backend="process"))
+        sharded.apply_journal(journal)
+        assert list(sharded.spanner.edges()) == list(serial.spanner.edges())
+        assert sharded.witnesses == serial.witnesses
+        assert len(sharded.certificates) >= 20 * 4
+        for key, edges in sharded.certificates.items():
+            assert not sharded.spanner.has_edge(*key)
+            assert edges and all(sharded.spanner.has_edge(*edge)
+                                 for edge in edges)
+        assert (sharded.stats()["dirty_candidates_checked"]
+                < serial.stats()["dirty_pool_seen"] // 2)
 
 
 class TestTieredOracleMaintenance:

@@ -199,7 +199,7 @@ def test_failed_decision_loop_leaves_no_empty_vector_cached():
 needs_numpy = pytest.mark.skipif("numpy" not in kernel_backend_names(),
                                  reason="numpy backend not installed")
 
-#: Above every serving threshold, so ``auto`` serves through numpy.
+#: Above the serving threshold, so ``auto`` serves through numpy.
 CROSSOVER_NODES = 600
 
 
@@ -274,12 +274,12 @@ def test_auto_serving_above_the_cut_matches_loop_and_numpy(crossover_case,
 
 @needs_numpy
 def test_serving_dispatch_follows_the_crossover():
-    from repro.paths.registry import SERVING_NODE_THRESHOLDS
+    from repro.paths.registry import SERVING_NODE_THRESHOLD
 
     numpy_label = 'kernels.dispatch{backend="numpy"}'
     loop_label = 'kernels.dispatch{backend="loop"}'
-    for nodes, served_by in ((min(SERVING_NODE_THRESHOLDS.values()), "numpy"),
-                             (max(SERVING_NODE_THRESHOLDS.values()) - 1, "loop")):
+    for nodes, served_by in ((SERVING_NODE_THRESHOLD, "numpy"),
+                             (SERVING_NODE_THRESHOLD - 1, "loop")):
         graph = generators.gnm(nodes, 3 * nodes, rng=4, connected=True,
                                weighted=True)
         engine = QueryEngine(SpannerSnapshot(spanner=graph, stretch=1.0),

@@ -1,16 +1,17 @@
 """Kernel-registry tests: loop ≡ numpy byte identity, registry contract, CSR views.
 
-The array backend's whole contract is that it is *behaviourally invisible*:
-every kernel returns byte-identical values to the pure-Python loop kernels —
-distances, witness paths, settle/discovery orders, early exits — under any
-combination of fault masks, budgets, and weights.  These tests drive that
-contract property-style, then pin the registry surface (names, errors, auto
-gating, env override), the zero-copy CSR view lifecycle, the batched mask
-matrix, and the end-to-end consumers (engine, verify, adversarial, BuildSpec,
-CLI) on both backends.
+The numpy backend is the loop backend with four calls replaced, and its
+whole contract is that it is *behaviourally invisible*: every replacement
+returns byte-identical values to the loop kernel it replaces — distances,
+settle orders, early exits — under any combination of fault masks, cutoffs,
+and weights.  These tests pin which calls numpy replaces, drive the
+replacements' identity property-style, then pin the registry surface (names,
+errors, auto gating, env override), the zero-copy CSR view lifecycle, the
+batched mask matrix, and the end-to-end consumers (engine, verify,
+adversarial, BuildSpec, CLI) on both backends.
 """
 
-import math
+import dataclasses
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -24,7 +25,7 @@ from repro.paths.registry import (
     _UNAVAILABLE,
     AUTO_NODE_THRESHOLD,
     KERNEL_ENV_VAR,
-    SERVING_NODE_THRESHOLDS,
+    SERVING_NODE_THRESHOLD,
     KernelBackend,
     describe_kernel_backends,
     get_kernels,
@@ -71,11 +72,29 @@ def _random_masks(csr, rng, fraction=0.2):
 
 
 # --------------------------------------------------------------------------
-# Byte identity of the six kernels
+# numpy's four overrides: which calls, and their byte identity
 # --------------------------------------------------------------------------
+
+#: The calls the numpy backend replaces; every other one is the loop kernel.
+NUMPY_OVERRIDES = {"sssp_dijkstra_csr", "multi_target_dijkstra_csr",
+                   "multi_source_sssp", "multi_source_multi_target"}
+
 
 @needs_numpy
 class TestKernelEquivalence:
+    def test_numpy_is_loop_plus_four_overrides(self):
+        loop = get_kernels("loop")
+        npk = get_kernels("numpy")
+        for kernel in dataclasses.fields(KernelBackend):
+            if kernel.name in ("name", "description"):
+                continue
+            ours = getattr(npk, kernel.name)
+            if kernel.name in NUMPY_OVERRIDES:
+                assert ours is not None
+                assert ours is not getattr(loop, kernel.name), kernel.name
+            else:
+                assert ours is getattr(loop, kernel.name), kernel.name
+
     @SETTINGS
     @given(n=st.integers(2, 26), extra=st.integers(0, 40),
            seed=st.integers(0, 10_000), weighted=st.booleans())
@@ -87,26 +106,15 @@ class TestKernelEquivalence:
         rng = RandomSource(seed + 1)
         vm, em = _random_masks(csr, rng)
         source = rng.randint(0, n - 1)
-        target = rng.randint(0, n - 1)
-        budget = rng.choice([-1.0, 0.0, 1.5, 3.0, 10.0, math.inf])
+        cutoff = rng.choice([-1.0, 0.0, 1.5, 3.0, 10.0, None])
         targets = [rng.randint(0, n - 1) for _ in range(rng.randint(0, 5))]
         if targets and rng.random() < 0.5:
             targets.append(targets[0])  # duplicates fill independently
-        max_hops = rng.choice([None, 0, 1, 2, 5])
 
-        assert (loop.bounded_dijkstra_csr(csr, source, target, budget, vm, em)
-                == npk.bounded_dijkstra_csr(csr, source, target, budget, vm, em))
-        assert (loop.bounded_dijkstra_path_csr(csr, source, target, budget, vm, em)
-                == npk.bounded_dijkstra_path_csr(csr, source, target, budget, vm, em))
-        cutoff = None if math.isinf(budget) else budget
         assert (loop.sssp_dijkstra_csr(csr, source, cutoff, vm, em)
                 == npk.sssp_dijkstra_csr(csr, source, cutoff, vm, em))
         assert (loop.multi_target_dijkstra_csr(csr, source, targets, vm, em)
                 == npk.multi_target_dijkstra_csr(csr, source, targets, vm, em))
-        assert (loop.bfs_distances_csr(csr, source, max_hops, vm, em)
-                == npk.bfs_distances_csr(csr, source, max_hops, vm, em))
-        assert (loop.bounded_bfs_csr(csr, source, target, max_hops, vm, em)
-                == npk.bounded_bfs_csr(csr, source, target, max_hops, vm, em))
 
     @SETTINGS
     @given(n=st.integers(3, 20), extra=st.integers(0, 30),
@@ -162,8 +170,6 @@ class TestKernelEquivalence:
         for source in range(0, 18, 3):
             assert (loop.sssp_dijkstra_csr(csr, source)
                     == npk.sssp_dijkstra_csr(csr, source))
-            assert (loop.bfs_distances_csr(csr, source)
-                    == npk.bfs_distances_csr(csr, source))
 
 
 # --------------------------------------------------------------------------
@@ -220,19 +226,17 @@ class TestRegistry:
         assert auto.resolve(FakeCSR()).name == "loop"
 
     @needs_numpy
-    def test_auto_serving_gates_per_call_kind(self):
+    def test_auto_serving_gates_at_the_crossover(self):
         class FakeCSR:
-            num_nodes = 0
+            num_nodes = SERVING_NODE_THRESHOLD
 
         auto = get_kernels("auto")
-        for call, threshold in SERVING_NODE_THRESHOLDS.items():
-            FakeCSR.num_nodes = threshold
-            assert auto.resolve_serving(FakeCSR(), call).name == "numpy"
-            assert auto.resolve(FakeCSR()).name == "loop"
-            FakeCSR.num_nodes = threshold - 1
-            assert auto.resolve_serving(FakeCSR(), call).name == "loop"
+        assert auto.resolve_serving(FakeCSR()).name == "numpy"
+        assert auto.resolve(FakeCSR()).name == "loop"
+        FakeCSR.num_nodes = SERVING_NODE_THRESHOLD - 1
+        assert auto.resolve_serving(FakeCSR()).name == "loop"
         loop = get_kernels("loop")
-        assert loop.resolve_serving(FakeCSR(), "full") is loop
+        assert loop.resolve_serving(FakeCSR()) is loop
 
     def test_auto_dispatch_without_resolve(self):
         # Consumers that call the auto backend's kernels directly still get
